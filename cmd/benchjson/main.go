@@ -102,6 +102,28 @@ func reportMetrics(b *testing.B, metrics map[string]float64) {
 	}
 }
 
+// wireObserveBlock pipelines sequenced 64-event observe frames into a
+// live wire listener whose sessions run the given strategy.
+func wireObserveBlock(b *testing.B, strategy string) {
+	env, err := benchdefs.NewWireBenchEnvFor(strategy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer env.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := env.ObserveBlockWire(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Drain inside the measured interval: every one of the b.N pipelined
+	// blocks must be acknowledged before the clock stops.
+	if err := env.FlushObserves(); err != nil {
+		b.Fatal(err)
+	}
+	benchdefs.ReportBatchThroughput(b)
+}
+
 // benchmarks mirrors the headline entries of the root bench_test.go; both
 // draw their option sets and metric computations from internal/benchdefs,
 // so the JSON snapshots always measure what `go test -bench .` measures.
@@ -214,23 +236,12 @@ func benchmarks() []entry {
 			benchdefs.ReportBatchThroughput(b)
 		}},
 		{"wire-observe-block", false, func(b *testing.B) {
-			env, err := benchdefs.NewWireBenchEnv()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := env.ObserveBlockWire(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Drain inside the measured interval: every one of the b.N
-			// pipelined blocks must be acknowledged before the clock stops.
-			if err := env.FlushObserves(); err != nil {
-				b.Fatal(err)
-			}
-			benchdefs.ReportBatchThroughput(b)
+			wireObserveBlock(b, benchdefs.WireBenchStrategy)
+		}},
+		{"wire-observe-block-dpd", false, func(b *testing.B) {
+			// The same frames against the default dpd model: the gap to
+			// wire-observe-block is the model's share of an ingested event.
+			wireObserveBlock(b, "")
 		}},
 		{"wire-predict", false, func(b *testing.B) {
 			env, err := benchdefs.NewWireBenchEnv()

@@ -28,7 +28,7 @@ func TestListPrintsEveryBenchmark(t *testing.T) {
 		t.Fatalf("-list printed %d names, want %d", len(lines), want)
 	}
 	for _, want := range []string{"table1", "figures34", "figure3-cold-serial", "serve-observe", "serve-predict",
-		"wire-observe-block", "wire-predict", "serve-observe-block-markov1",
+		"wire-observe-block", "wire-observe-block-dpd", "wire-predict", "serve-observe-block-markov1",
 		"strategy-observe-dpd", "strategy-predict-dpd", "strategy-observe-lastvalue", "strategy-predict-markov1"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-list output missing %q:\n%s", want, stdout)

@@ -6,11 +6,17 @@ package benchdefs
 // whole claim is that its framing and pipelining amortize the socket
 // round-trips the HTTP path pays per request.
 //
-// The environment pins the markov1 strategy: the dpd model alone costs
-// more per event than the entire wire round-trip, so a dpd-backed wire
-// benchmark would measure the model and hide the protocol. The matching
-// HTTP twin is NewServeBenchEnvFor("markov1"), committed alongside so
-// the snapshots compare the two transports on equal model cost.
+// The headline wire-observe-block entry pins the markov1 strategy,
+// because the dpd model still costs more per event than the entire wire
+// round-trip. In BENCH_10 (one core), wire-observe-block-dpd, the same
+// frames against the default dpd model, takes about 1.4µs per event and
+// wire-observe-block about 0.25µs: the model is about 5× the protocol.
+// In BENCH_9 a locked dpd observe cost 2.4µs, against about 0.6µs now,
+// and an event observes two streams (sender and size), so the model was
+// then about 30× the protocol. A dpd-only wire benchmark would still
+// mostly measure the model, so the markov1 entry and its HTTP twin,
+// NewServeBenchEnvFor("markov1"), compare the two transports on equal
+// model cost, and the dpd entry gives the model's share of an event.
 
 import (
 	"context"
@@ -51,7 +57,13 @@ type WireBenchEnv struct {
 // NewWireBenchEnv starts the listener, dials the client and warms the
 // session past the locking transient. Callers must Close it.
 func NewWireBenchEnv() (*WireBenchEnv, error) {
-	reg := serve.NewRegistry(serve.Config{Strategy: WireBenchStrategy})
+	return NewWireBenchEnvFor(WireBenchStrategy)
+}
+
+// NewWireBenchEnvFor is NewWireBenchEnv with an explicit default
+// prediction strategy ("" = the registry default, dpd).
+func NewWireBenchEnvFor(strategy string) (*WireBenchEnv, error) {
+	reg := serve.NewRegistry(serve.Config{Strategy: strategy})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

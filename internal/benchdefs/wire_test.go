@@ -36,6 +36,27 @@ func TestWireBenchEnvBodiesRun(t *testing.T) {
 		}
 	}
 
+	// The dpd twin, the default model behind the same frames.
+	dpd, err := NewWireBenchEnvFor("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dpd.Close()
+	// Enough blocks to flush the warm-up out of the window: the 64-event
+	// block cycle is the stream the benchmark's steady state locks onto.
+	for i := 0; i < 16; i++ {
+		if err := dpd.ObserveBlockWire(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dpd.FlushObserves(); err != nil {
+		t.Fatal(err)
+	}
+	sessions := dpd.Registry.Sessions()
+	if len(sessions) != 1 || sessions[0].Strategy != "dpd" || sessions[0].SenderState != "locked" {
+		t.Fatalf("dpd twin sessions = %+v, want one locked dpd session", sessions)
+	}
+
 	// The markov1 HTTP twin the snapshots compare against must run too.
 	twin := NewServeBenchEnvFor(WireBenchStrategy)
 	if err := twin.ObserveBlockHTTP(0); err != nil {

@@ -155,21 +155,3 @@ func TestPredictSeriesIntoMatchesPredictSeries(t *testing.T) {
 		}
 	}
 }
-
-// TestWindowIntoMatchesWindow checks the zero-copy snapshot path.
-func TestWindowIntoMatchesWindow(t *testing.T) {
-	d := NewDetector(Config{WindowSize: 8, MaxLag: 4})
-	for i := int64(0); i < 13; i++ { // wraps the ring
-		d.Observe(i)
-	}
-	snap := d.Window()
-	into := d.WindowInto(nil)
-	if len(snap) != len(into) {
-		t.Fatalf("length mismatch: %d vs %d", len(snap), len(into))
-	}
-	for i := range snap {
-		if snap[i] != into[i] {
-			t.Errorf("window[%d] differs: %d vs %d", i, snap[i], into[i])
-		}
-	}
-}

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The microbenchmarks below pin the per-observation cost of the DPD hot
 // path. Run them with -benchmem: the steady-state observe and predict
@@ -99,5 +102,26 @@ func BenchmarkLockRelock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.lock(18)
+	}
+}
+
+// BenchmarkDetectorObserveNoise is the full-window update on a stream with
+// no period, whose mismatch pattern no branch predictor can learn: it
+// pins the branch-free compare loops (a branchy loop costs about twice as
+// much here, and the same as the branch-free one on periodic streams).
+func BenchmarkDetectorObserveNoise(b *testing.B) {
+	d := NewDetector(DefaultConfig())
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]int64, 4*d.Config().WindowSize)
+	for i := range stream {
+		stream[i] = rng.Int63n(5)
+	}
+	for _, x := range stream {
+		d.Observe(x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Observe(stream[i%len(stream)])
 	}
 }

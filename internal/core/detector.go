@@ -50,11 +50,6 @@ func (d *Detector) Observed() int64 { return d.observed }
 // Window returns a copy of the current window contents, oldest first.
 func (d *Detector) Window() []int64 { return d.win.Snapshot() }
 
-// WindowInto appends the current window contents to dst, oldest first, and
-// returns it. It lets callers that snapshot repeatedly (the predictor's
-// lock path) reuse one buffer.
-func (d *Detector) WindowInto(dst []int64) []int64 { return d.win.AppendTo(dst) }
-
 // Reset discards all state, returning the detector to its initial
 // condition without reallocating.
 func (d *Detector) Reset() {
@@ -66,28 +61,67 @@ func (d *Detector) Reset() {
 }
 
 // Observe appends one sample to the window, updating all per-lag mismatch
-// counts incrementally.
+// counts incrementally. Both passes read the window through the ring's
+// two contiguous segments, so each is at most two plain slice loops over
+// MaxLag samples in total.
 func (d *Detector) Observe(x int64) {
-	n := d.win.Len()
 	if d.win.Full() {
 		// The oldest sample is about to be evicted. For every lag m the
 		// pair in which the evicted sample is the older element — the pair
 		// (window[m], window[0]) — leaves the set of compared positions.
-		for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-			if d.win.At(m) != d.win.At(0) {
-				d.mismatch[m]--
-			}
-		}
+		// window[1..lags] is old[1:] continued into recent.
+		old, recent := d.win.Segments()
+		mm := d.mismatch[1 : min(d.cfg.MaxLag, d.win.Len()-1)+1] // mm[j]: lag j+1
+		head := old[1:min(len(old), len(mm)+1)]
+		retire(mm[:len(head)], head, old[0])
+		mm = mm[len(head):]
+		retire(mm, recent[:len(mm)], old[0])
 	}
 	d.win.Push(x)
 	d.observed++
-	n = d.win.Len()
-	// The new sample forms one new pair per lag: (x, window[n-1-m]).
-	for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-		if x != d.win.At(n-1-m) {
-			d.mismatch[m]++
-		}
+	// The new sample forms one new pair per lag: (x, window[n-1-m]). The
+	// partners are the samples before x, newest first, so the walk runs
+	// backwards over the recent segment and then over the old one.
+	old, recent := d.win.Segments()
+	if len(recent) > 0 {
+		recent = recent[:len(recent)-1]
+	} else {
+		old = old[:len(old)-1]
 	}
+	mm := d.mismatch[1 : min(d.cfg.MaxLag, len(old)+len(recent))+1]
+	k := min(len(recent), len(mm))
+	admitReversed(mm[:k], recent[len(recent)-k:], x)
+	mm = mm[k:]
+	admitReversed(mm, old[len(old)-len(mm):], x)
+}
+
+// retire removes the pairs (s[j], v) from the counts: cnt[j] drops by one
+// wherever s[j] != v. cnt and s have equal length.
+func retire(cnt []int, s []int64, v int64) {
+	cnt = cnt[:len(s)]
+	for j, w := range s {
+		cnt[j] -= differs(w, v)
+	}
+}
+
+// admitReversed adds the pairs (v, s[len(s)-1-j]) to the counts: cnt[j]
+// grows by one wherever that sample differs from v. cnt and s have equal
+// length.
+func admitReversed(cnt []int, s []int64, v int64) {
+	cnt = cnt[:len(s)]
+	for j, w := range s {
+		cnt[len(cnt)-1-j] += differs(w, v)
+	}
+}
+
+// differs is 1 when a != b and 0 otherwise. It compiles to a flag move
+// rather than a branch, so the compare loops cost the same whatever the
+// mismatch pattern of the stream.
+func differs(a, b int64) int {
+	if a != b {
+		return 1
+	}
+	return 0
 }
 
 // Distance returns d(m) from equation (1) computed over the current
@@ -119,22 +153,17 @@ func (d *Detector) DistanceDirect(m int) int {
 	return count
 }
 
-// pairs returns the number of compared positions for lag m in the current
-// window.
-func (d *Detector) pairs(m int) int {
-	n := d.win.Len()
-	if m >= n {
-		return 0
-	}
-	return n - m
-}
-
 // Period returns the smallest lag m for which the window is exactly
 // periodic (d(m) == 0) and for which the window holds at least
 // MinRepeats*m samples. ok is false when no such lag exists, which is the
 // detector's way of saying "no iterative pattern visible yet".
 func (d *Detector) Period() (period int, ok bool) {
-	return d.periodWithTolerance(0)
+	for j, c := range d.mismatch[1 : d.maxPeriod()+1] {
+		if c == 0 {
+			return j + 1, true
+		}
+	}
+	return 0, false
 }
 
 // PeriodWithin returns the smallest lag whose mismatch fraction
@@ -145,27 +174,51 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 	if tol < 0 {
 		tol = 0
 	}
-	return d.periodWithTolerance(tol)
-}
-
-func (d *Detector) periodWithTolerance(tol float64) (int, bool) {
 	n := d.win.Len()
-	for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-		if n < d.cfg.MinRepeats*m {
-			// Window no longer holds enough repetitions for this or any
-			// larger lag.
-			break
-		}
-		p := d.pairs(m)
-		if p <= 0 {
-			break
-		}
-		allowed := int(tol * float64(p))
-		if d.mismatch[m] <= allowed {
-			return m, true
+	for j, c := range d.mismatch[1 : d.maxPeriod()+1] {
+		if c <= allowedMismatches(tol, n-j-1) {
+			return j + 1, true
 		}
 	}
 	return 0, false
+}
+
+// lockPeriod is the StreamPredictor's period search: Period() when a
+// strict period exists, else PeriodWithin(tol), in one pass over the
+// lags. A strict period (the window is exactly periodic, the paper's
+// d(m) == 0 criterion) is preferred because it captures the full
+// iterative pattern of the application even when the stream alternates
+// between shorter local sub-patterns (the LU sweeps are the canonical
+// example). When no strict period exists — typically on physical-level
+// streams perturbed by noise — the first tolerant lag is used instead.
+// The answer is the two-scan answer because a strict lag is always also
+// a tolerant one.
+func (d *Detector) lockPeriod(tol float64) (period int, ok bool) {
+	n := d.win.Len()
+	tolerant := 0
+	for j, c := range d.mismatch[1 : d.maxPeriod()+1] {
+		if c == 0 {
+			return j + 1, true
+		}
+		if tolerant == 0 && c <= allowedMismatches(tol, n-j-1) {
+			tolerant = j + 1
+		}
+	}
+	return tolerant, tolerant > 0
+}
+
+// maxPeriod is the largest lag the current window can report as a period:
+// at most MaxLag, at least one compared pair (m < Len()), and MinRepeats
+// repetitions present (Len() >= MinRepeats*m).
+func (d *Detector) maxPeriod() int {
+	n := d.win.Len()
+	return max(0, min(d.cfg.MaxLag, n-1, n/d.cfg.MinRepeats))
+}
+
+// allowedMismatches is the mismatch budget of a lag with the given number
+// of compared pairs under tolerance tol.
+func allowedMismatches(tol float64, pairs int) int {
+	return int(tol * float64(pairs))
 }
 
 // Periodogram returns a copy of the mismatch counts indexed by lag
@@ -185,17 +238,20 @@ func (d *Detector) Predict(k int) (int64, bool) {
 	if k < 1 {
 		return 0, false
 	}
-	m, ok := d.Period()
-	if !ok {
+	m, _ := d.Period()
+	return d.predictAt(m, k)
+}
+
+// predictAt is Predict for k >= 1 and an already resolved period m,
+// where m == 0 means no period is detected. Multi-step queries resolve the
+// period once and call it per step.
+func (d *Detector) predictAt(m, k int) (int64, bool) {
+	if m < 1 {
 		return 0, false
 	}
-	n := d.win.Len()
 	// Index of x[t+k-m] within the window, where index n-1 holds x[t].
-	idx := n - m + ((k - 1) % m)
-	if idx < 0 || idx >= n {
-		return 0, false
-	}
-	return d.win.At(idx), true
+	// Period guarantees m <= Len(), so the index is in range.
+	return d.win.At(d.win.Len() - m + (k-1)%m), true
 }
 
 // PredictSeries predicts the next count future values. Predictions that
@@ -205,10 +261,12 @@ func (d *Detector) PredictSeries(count int) []Prediction {
 }
 
 // PredictSeriesInto appends the next count predictions to dst and returns
-// it, allowing hot-path callers to reuse one buffer across queries.
+// it, allowing hot-path callers to reuse one buffer across queries. The
+// period is resolved once for all count steps.
 func (d *Detector) PredictSeriesInto(dst []Prediction, count int) []Prediction {
+	m, _ := d.Period()
 	for k := 1; k <= count; k++ {
-		v, ok := d.Predict(k)
+		v, ok := d.predictAt(m, k)
 		dst = append(dst, Prediction{Ahead: k, Value: v, OK: ok})
 	}
 	return dst

@@ -399,3 +399,108 @@ func BenchmarkDetectorPredictFive(b *testing.B) {
 		}
 	}
 }
+
+// refPeriodWithin is the period search written the long way: the smallest
+// lag, in the order the detector scans them, whose directly recomputed
+// distance is within tol of its compared pairs.
+func refPeriodWithin(d *Detector, tol float64) (int, bool) {
+	n := d.Len()
+	for m := 1; m <= d.cfg.MaxLag && m < n && n >= d.cfg.MinRepeats*m; m++ {
+		if d.DistanceDirect(m) <= int(tol*float64(n-m)) {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
+// Property: at every step of random partly periodic streams, the
+// predictor's single-pass period search returns what the two scans it
+// replaces return — Period(), then PeriodWithin(tol) — and both of those
+// agree with a from-scratch reference. Configs include MaxLag ==
+// WindowSize-1, the largest lag range the ring's segments must cover.
+func TestLockPeriodMatchesTwoScanReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var strict, tolerant, none int
+	for trial := 0; trial < 300; trial++ {
+		win := 2 + rng.Intn(48)
+		lag := 1 + rng.Intn(win-1)
+		if trial%3 == 0 {
+			lag = win - 1
+		}
+		cfg := Config{WindowSize: win, MaxLag: lag, MinRepeats: 1 + rng.Intn(3), ConfirmRuns: 1}
+		tol := 0.5 * rng.Float64()
+		if trial%10 == 0 {
+			tol = 0
+		}
+		noise := 0.3 * rng.Float64()
+		period := 1 + rng.Intn(lag)
+		d := NewDetector(cfg)
+		for i := 0; i < 3*win; i++ {
+			x := int64(i % period)
+			if rng.Float64() < noise {
+				x = rng.Int63n(4)
+			}
+			d.Observe(x)
+
+			wantStrict, okStrict := refPeriodWithin(d, 0)
+			if p, ok := d.Period(); p != wantStrict || ok != okStrict {
+				t.Fatalf("trial %d step %d: Period()=%d,%v want %d,%v", trial, i, p, ok, wantStrict, okStrict)
+			}
+			wantTol, okTol := refPeriodWithin(d, tol)
+			if p, ok := d.PeriodWithin(tol); p != wantTol || ok != okTol {
+				t.Fatalf("trial %d step %d: PeriodWithin(%g)=%d,%v want %d,%v", trial, i, tol, p, ok, wantTol, okTol)
+			}
+			want, wantOK := wantStrict, okStrict
+			switch {
+			case okStrict:
+				strict++
+			case okTol:
+				want, wantOK = wantTol, okTol
+				tolerant++
+			default:
+				none++
+			}
+			if p, ok := d.lockPeriod(tol); p != want || ok != wantOK {
+				t.Fatalf("trial %d step %d (cfg %+v, tol %g): lockPeriod=%d,%v want %d,%v",
+					trial, i, cfg, tol, p, ok, want, wantOK)
+			}
+		}
+	}
+	if strict == 0 || tolerant == 0 || none == 0 {
+		t.Fatalf("streams did not exercise every outcome: strict %d, tolerant-only %d, none %d", strict, tolerant, none)
+	}
+}
+
+// Property: at the default geometry (512-sample window, lags to 192) the
+// incremental counts equal the direct recomputation for every lag after
+// every observation, over more than three windows of a stream that
+// alternates periodic phases and noise. The run visits every ring head
+// position, so every split of the window into its two segments — head ==
+// Cap()-1 included — is checked.
+func TestDistanceMatchesDirectAtDefaultConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	d := NewDetector(cfg)
+	rng := rand.New(rand.NewSource(5))
+	heads := make([]bool, cfg.WindowSize)
+	periods := []int{18, 0, 7, 150, 0, 1}
+	for i := 0; i < 3*cfg.WindowSize+cfg.WindowSize/2; i++ {
+		var x int64
+		if p := periods[(i/200)%len(periods)]; p > 0 {
+			x = int64(i % p)
+		} else {
+			x = rng.Int63n(6)
+		}
+		d.Observe(x)
+		heads[d.win.head] = true
+		for m := 1; m <= cfg.MaxLag; m++ {
+			if got, want := d.Distance(m), d.DistanceDirect(m); got != want {
+				t.Fatalf("step %d (head %d): Distance(%d)=%d, DistanceDirect=%d", i, d.win.head, m, got, want)
+			}
+		}
+	}
+	for h, seen := range heads {
+		if !seen {
+			t.Fatalf("ring head never reached position %d", h)
+		}
+	}
+}

@@ -4,6 +4,15 @@ package core
 // DPD window: the paper stresses that the detector must be implementable
 // with circular lists so that the runtime overhead stays small, so the
 // buffer never reallocates after construction and all operations are O(1).
+//
+// The observe path never indexes the ring sample by sample. Segments
+// exposes the window as at most two contiguous runs of the backing slice,
+// split at the wrap point, so the detector's O(MaxLag) compare loops are
+// plain slice loops with no per-load modulo. The ring is not mirrored
+// (each sample written twice into a 2×cap buffer so the window is always
+// one slice): that is no faster than walking two segments, and it doubles
+// the per-stream window memory, which a daemon holding thousands of
+// streams pays in resident set size.
 type ring struct {
 	buf   []int64
 	head  int // index of the oldest element
@@ -32,12 +41,27 @@ func (r *ring) Push(x int64) (evicted int64, wasFull bool) {
 	if r.count == len(r.buf) {
 		evicted = r.buf[r.head]
 		r.buf[r.head] = x
-		r.head = (r.head + 1) % len(r.buf)
+		r.head++
+		if r.head == len(r.buf) {
+			r.head = 0
+		}
 		return evicted, true
 	}
 	r.buf[(r.head+r.count)%len(r.buf)] = x
 	r.count++
 	return 0, false
+}
+
+// Segments returns the window contents, oldest first, as two contiguous
+// runs of the backing buffer: the window is old followed by recent.
+// recent is empty unless the window wraps the end of the buffer. Both
+// alias the ring and are valid only until the next Push or Reset.
+func (r *ring) Segments() (old, recent []int64) {
+	end := r.head + r.count
+	if end <= len(r.buf) {
+		return r.buf[r.head:end], nil
+	}
+	return r.buf[r.head:], r.buf[:end-len(r.buf)]
 }
 
 // At returns the i-th stored sample, where 0 is the oldest and Len()-1 the
@@ -59,21 +83,8 @@ func (r *ring) Last() (int64, bool) {
 
 // Snapshot copies the window contents, oldest first.
 func (r *ring) Snapshot() []int64 {
-	return r.AppendTo(make([]int64, 0, r.count))
-}
-
-// AppendTo appends the window contents to dst, oldest first, and returns
-// it. The two wrapped segments are copied with at most two copy calls.
-func (r *ring) AppendTo(dst []int64) []int64 {
-	if r.count == 0 {
-		return dst
-	}
-	end := r.head + r.count
-	if end <= len(r.buf) {
-		return append(dst, r.buf[r.head:end]...)
-	}
-	dst = append(dst, r.buf[r.head:]...)
-	return append(dst, r.buf[:end-len(r.buf)]...)
+	old, recent := r.Segments()
+	return append(append(make([]int64, 0, r.count), old...), recent...)
 }
 
 // Reset discards all samples but keeps the allocated buffer.

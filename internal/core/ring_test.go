@@ -111,3 +111,32 @@ func TestRingMatchesSliceSuffix(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRingSegmentsMatchWindow checks the in-place window view the
+// detector's compare loops and the lock path read: at every head position
+// the two segments, concatenated, are the detector's Window(), and the
+// second segment is empty unless the window wraps the buffer's end.
+func TestRingSegmentsMatchWindow(t *testing.T) {
+	d := NewDetector(Config{WindowSize: 8, MaxLag: 4})
+	for i := int64(0); i < 30; i++ { // fills, then wraps several times
+		d.Observe(i)
+		old, recent := d.win.Segments()
+		if len(old) == 0 {
+			t.Fatalf("after %d samples: empty old segment", i+1)
+		}
+		got := append(append([]int64(nil), old...), recent...)
+		want := d.Window()
+		if len(got) != len(want) {
+			t.Fatalf("after %d samples: segments hold %d samples, Window() %d", i+1, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("after %d samples: segments %v, Window() %v", i+1, got, want)
+			}
+		}
+		wraps := d.win.head+d.win.Len() > d.win.Cap()
+		if wraps != (len(recent) > 0) {
+			t.Fatalf("after %d samples: head %d, recent segment %v", i+1, d.win.head, recent)
+		}
+	}
+}

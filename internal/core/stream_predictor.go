@@ -72,11 +72,10 @@ type StreamPredictor struct {
 	candidatePeriod int
 	candidateRuns   int
 
-	// scratchWin and scratchCounts are reused across lock events so that
-	// locking onto a pattern does not allocate a fresh window snapshot and
-	// one counting map per phase every time (predictors on noisy physical
-	// streams relock often).
-	scratchWin    []int64
+	// scratchCounts is reused across lock events so that locking onto a
+	// pattern does not allocate one counting map per phase every time
+	// (predictors on noisy physical streams relock often). The window
+	// itself is read in place through the ring's segments, never copied.
 	scratchCounts map[int64]int
 
 	counters Counters
@@ -165,7 +164,7 @@ func (p *StreamPredictor) Observe(x int64) {
 	}
 
 	p.det.Observe(x)
-	period, ok := p.searchPeriod()
+	period, ok := p.det.lockPeriod(p.cfg.LockTolerance)
 	if !ok {
 		p.candidatePeriod = 0
 		p.candidateRuns = 0
@@ -182,40 +181,23 @@ func (p *StreamPredictor) Observe(x int64) {
 	}
 }
 
-// searchPeriod looks for a period to lock onto. A strict period (the
-// window is exactly periodic, the paper's d(m) == 0 criterion) is
-// preferred because it captures the full iterative pattern of the
-// application even when the stream alternates between shorter local
-// sub-patterns (the LU sweeps are the canonical example). When no strict
-// period exists — typically on physical-level streams perturbed by noise —
-// the tolerant criterion is used instead.
-func (p *StreamPredictor) searchPeriod() (int, bool) {
-	if period, ok := p.det.Period(); ok {
-		return period, true
-	}
-	if p.cfg.LockTolerance > 0 {
-		return p.det.PeriodWithin(p.cfg.LockTolerance)
-	}
-	return 0, false
-}
-
 // lock captures the consensus pattern of length period from the detector
 // window and switches to the Locked state. The next expected observation
 // is the one that follows the most recent window sample.
 func (p *StreamPredictor) lock(period int) {
-	p.scratchWin = p.det.WindowInto(p.scratchWin[:0])
-	win := p.scratchWin
-	if period <= 0 || len(win) < period {
+	n := p.det.Len()
+	if period <= 0 || n < period {
 		return
 	}
 	if p.scratchCounts == nil {
 		p.scratchCounts = make(map[int64]int)
 	}
-	p.pattern = consensusPattern(win, period, p.scratchCounts)
+	old, recent := p.det.win.Segments()
+	p.pattern = consensusPattern(old, recent, period, p.scratchCounts)
 	// The window ends at x[t]; the next observation x[t+1] corresponds to
-	// pattern phase (len(win)) mod period when the pattern is anchored at
-	// the start of the window.
-	p.phase = len(win) % period
+	// pattern phase n mod period when the pattern is anchored at the start
+	// of the window.
+	p.phase = n % period
 	p.state = Locked
 	p.missStreak = 0
 	p.candidatePeriod = 0
@@ -282,11 +264,27 @@ func (p *StreamPredictor) Predict(k int) (int64, bool) {
 	if k < 1 {
 		return 0, false
 	}
+	return p.predictAt(p.learningPeriod(), k)
+}
+
+// learningPeriod resolves, once per forecast, the detector period a
+// learning-state prediction reads; it is 0 while locked, when the pattern
+// answers instead, and when no strict period is visible.
+func (p *StreamPredictor) learningPeriod() int {
 	if p.state == Locked {
-		idx := (p.phase + k - 1) % len(p.pattern)
-		return p.pattern[idx], true
+		return 0
 	}
-	return p.det.Predict(k)
+	m, _ := p.det.Period()
+	return m
+}
+
+// predictAt is Predict with the learning-state period m already resolved
+// by learningPeriod.
+func (p *StreamPredictor) predictAt(m, k int) (int64, bool) {
+	if p.state == Locked {
+		return p.pattern[(p.phase+k-1)%len(p.pattern)], true
+	}
+	return p.det.predictAt(m, k)
 }
 
 // PredictSeries predicts the next count values, abstentions included.
@@ -300,8 +298,9 @@ func (p *StreamPredictor) PredictSeries(count int) []Prediction {
 // allocations (see predictor.MessagePredictor.ForecastInto for the
 // equivalent message-level query the replay loops use).
 func (p *StreamPredictor) PredictSeriesInto(dst []Prediction, count int) []Prediction {
+	m := p.learningPeriod()
 	for k := 1; k <= count; k++ {
-		v, ok := p.Predict(k)
+		v, ok := p.predictAt(m, k)
 		dst = append(dst, Prediction{Ahead: k, Value: v, OK: ok})
 	}
 	return dst
@@ -326,8 +325,9 @@ func (p *StreamPredictor) PredictSet(count int) ([]int64, bool) {
 // caller that reuses it — dst[:0] of the previous call — keeps its
 // capacity across abstaining queries.
 func (p *StreamPredictor) PredictSetInto(dst []int64, count int) ([]int64, bool) {
+	m := p.learningPeriod()
 	for k := 1; k <= count; k++ {
-		v, ok := p.Predict(k)
+		v, ok := p.predictAt(m, k)
 		if !ok {
 			return dst, false
 		}
@@ -337,18 +337,27 @@ func (p *StreamPredictor) PredictSetInto(dst []int64, count int) ([]int64, bool)
 }
 
 // consensusPattern builds a pattern of the given period from a window by
-// majority vote over all samples that share the same phase. With a clean
-// window this is exactly the last period of the window; with isolated
-// perturbations the majority of repetitions wins. The scratch map is
-// cleared and reused for every phase, so one lock event costs zero map
-// allocations instead of one per phase; the walk visits each window sample
-// twice in total (O(len(win))) rather than once per phase.
-func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
+// majority vote over all samples that share the same phase. The window is
+// passed as the detector ring's two segments (old followed by recent), so
+// locking reads it in place. With a clean window this is exactly the last
+// period of the window; with isolated perturbations the majority of
+// repetitions wins. The scratch map is cleared and reused for every phase,
+// so one lock event costs zero map allocations instead of one per phase;
+// the walk visits each window sample twice in total (O(window)) rather
+// than once per phase.
+func consensusPattern(old, recent []int64, period int, scratch map[int64]int) []int64 {
+	n := len(old) + len(recent)
+	at := func(i int) int64 {
+		if i < len(old) {
+			return old[i]
+		}
+		return recent[i-len(old)]
+	}
 	pattern := make([]int64, period)
 	for ph := 0; ph < period; ph++ {
 		clear(scratch)
-		for i := ph; i < len(win); i += period {
-			scratch[win[i]]++
+		for i := ph; i < n; i += period {
+			scratch[at(i)]++
 		}
 		best := int64(0)
 		bestCount := -1
@@ -356,9 +365,9 @@ func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
 		// the window at this phase. Walking newest-first and requiring a
 		// strictly greater count reproduces the seed implementation's
 		// choice exactly.
-		last := ph + ((len(win)-1-ph)/period)*period
+		last := ph + ((n-1-ph)/period)*period
 		for i := last; i >= 0; i -= period {
-			v := win[i]
+			v := at(i)
 			if c := scratch[v]; c > bestCount {
 				best = v
 				bestCount = c

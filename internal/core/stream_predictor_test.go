@@ -289,11 +289,15 @@ func TestConsensusPatternMajorityVote(t *testing.T) {
 		1, 9, 3, 4, // corrupted second element
 		1, 2, 3, 4,
 	}
-	got := consensusPattern(win, 4, map[int64]int{})
 	want := []int64{1, 2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("consensusPattern=%v want %v", got, want)
+	// The window arrives as the ring's two segments; every split point
+	// must give the same vote.
+	for split := 0; split <= len(win); split++ {
+		got := consensusPattern(win[:split], win[split:], 4, map[int64]int{})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("split %d: consensusPattern=%v want %v", split, got, want)
+			}
 		}
 	}
 }
@@ -302,9 +306,11 @@ func TestConsensusPatternTieBreaksTowardRecent(t *testing.T) {
 	// Exactly two repetitions disagree at phase 1: values 7 (older) and 9
 	// (newer). The tie must go to the more recent value.
 	win := []int64{1, 7, 3, 1, 9, 3}
-	got := consensusPattern(win, 3, map[int64]int{})
-	if got[1] != 9 {
-		t.Fatalf("tie should prefer the most recent value, got %v", got)
+	for split := 0; split <= len(win); split++ {
+		got := consensusPattern(win[:split], win[split:], 3, map[int64]int{})
+		if got[1] != 9 {
+			t.Fatalf("split %d: tie should prefer the most recent value, got %v", split, got)
+		}
 	}
 }
 
@@ -354,5 +360,57 @@ func BenchmarkStreamPredictorObservePredict(b *testing.B) {
 		for k := 1; k <= 5; k++ {
 			p.Predict(k)
 		}
+	}
+}
+
+// Property: the multi-step queries resolve the learning-state period once
+// per call, and every entry still equals the single-step Predict(k) — on
+// the predictor while it is learning (strict period visible or not) and
+// on the bare detector.
+func TestLearningForecastsMatchPredict(t *testing.T) {
+	const count = 7
+	// ConfirmRuns beyond the stream length keeps the predictor learning
+	// while its detector already reports strict periods.
+	p := NewStreamPredictor(Config{WindowSize: 64, MaxLag: 24, ConfirmRuns: 1 << 20})
+	rng := rand.New(rand.NewSource(9))
+	var withPeriod, without int
+	for i := 0; i < 400; i++ {
+		x := int64(i % 5)
+		if (i/80)%2 == 1 {
+			x = rng.Int63n(50)
+		}
+		p.Observe(x)
+		if p.State() != Learning {
+			t.Fatalf("step %d: predictor locked", i)
+		}
+		if _, ok := p.det.Period(); ok {
+			withPeriod++
+		} else {
+			without++
+		}
+		series := p.PredictSeriesInto(nil, count)
+		detSeries := p.det.PredictSeriesInto(nil, count)
+		set, setOK := p.PredictSetInto(nil, count)
+		allOK := true
+		for k := 1; k <= count; k++ {
+			v, ok := p.Predict(k)
+			if want := (Prediction{Ahead: k, Value: v, OK: ok}); series[k-1] != want {
+				t.Fatalf("step %d: PredictSeriesInto[%d]=%+v, Predict(%d)=%+v", i, k-1, series[k-1], k, want)
+			}
+			dv, dok := p.det.Predict(k)
+			if want := (Prediction{Ahead: k, Value: dv, OK: dok}); detSeries[k-1] != want {
+				t.Fatalf("step %d: Detector.PredictSeriesInto[%d]=%+v, Predict(%d)=%+v", i, k-1, detSeries[k-1], k, want)
+			}
+			if allOK && ok && set[k-1] != v {
+				t.Fatalf("step %d: PredictSetInto[%d]=%d, Predict(%d)=%d", i, k-1, set[k-1], k, v)
+			}
+			allOK = allOK && ok
+		}
+		if setOK != allOK {
+			t.Fatalf("step %d: PredictSetInto ok=%v, want %v", i, setOK, allOK)
+		}
+	}
+	if withPeriod == 0 || without == 0 {
+		t.Fatalf("stream did not exercise both learning cases: %d with a period, %d without", withPeriod, without)
 	}
 }
