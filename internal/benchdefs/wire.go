@@ -6,17 +6,20 @@ package benchdefs
 // whole claim is that its framing and pipelining amortize the socket
 // round-trips the HTTP path pays per request.
 //
-// The headline wire-observe-block entry pins the markov1 strategy,
-// because the dpd model still costs more per event than the entire wire
-// round-trip. In BENCH_10 (one core), wire-observe-block-dpd, the same
-// frames against the default dpd model, takes about 1.4µs per event and
-// wire-observe-block about 0.25µs: the model is about 5× the protocol.
-// In BENCH_9 a locked dpd observe cost 2.4µs, against about 0.6µs now,
-// and an event observes two streams (sender and size), so the model was
-// then about 30× the protocol. A dpd-only wire benchmark would still
-// mostly measure the model, so the markov1 entry and its HTTP twin,
-// NewServeBenchEnvFor("markov1"), compare the two transports on equal
-// model cost, and the dpd entry gives the model's share of an event.
+// The headline wire-observe-block entry pins the markov1 strategy, so the
+// entry measures the protocol rather than the model. In BENCH_10 (one
+// core), wire-observe-block-dpd, the same frames against the default dpd
+// model, took about 1.4µs per event against about 0.25µs for
+// wire-observe-block: the model was about 5× the protocol. In BENCH_11 a
+// locked dpd observe is an O(1) window append once its lock episode is
+// long (strategy-observe-dpd 604 → 21 ns, as cheap as markov1), and the
+// two wire entries read 0.22µs (dpd) and 0.26µs (markov1) per event: on
+// a locked stream the protocol, not the model, is now the cost of an
+// event (the socket rows spread about 20% run to run, so one snapshot
+// does not order the two). The
+// markov1 entry and its HTTP twin, NewServeBenchEnvFor("markov1"), still
+// compare the two transports on equal model cost, and the dpd entry
+// gives the model's share of an event.
 
 import (
 	"context"

@@ -32,6 +32,26 @@ func TestDetectorObserveZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDetectorRecountZeroAllocs pins the rebuild an unlock pays after a
+// deferred lock episode: the in-place rotation and the per-lag compare
+// loops must not allocate.
+func TestDetectorRecountZeroAllocs(t *testing.T) {
+	d := NewDetector(DefaultConfig())
+	stream := periodicStream(4*d.Config().WindowSize, 18)
+	for _, x := range stream {
+		d.Observe(x)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		d.push(stream[i%len(stream)])
+		d.recount()
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Detector.recount allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
 // TestStreamPredictorObserveZeroAllocs pins the predictor's steady-state
 // cost on a stable stream: once locked, observing must never allocate
 // (locking itself allocates the pattern snapshot, but locks are rare and

@@ -12,6 +12,15 @@ import "fmt"
 // only the pairs gained and lost at the window boundaries, so the cost per
 // observation is O(MaxLag) regardless of the window size.
 //
+// A locked StreamPredictor serves forecasts from its pattern and reads the
+// counts again only after it unlocks, so once a lock episode has lasted as
+// many observes as one rebuild costs (recountBreakEven) it feeds the
+// detector through push, an O(1) window-only append that leaves the counts
+// stale, and rebuilds them once with recount when the lock drops. The
+// counts are a pure function of the window (DistanceDirect), so the rebuild
+// is exact. A bare Detector is never stale: push and recount are the
+// predictor's alone.
+//
 // Detector is not safe for concurrent use; wrap it if multiple goroutines
 // feed the same stream.
 type Detector struct {
@@ -19,6 +28,7 @@ type Detector struct {
 	win      *ring
 	mismatch []int // mismatch[m] for m in 1..MaxLag (index 0 unused)
 	observed int64 // total samples ever observed
+	stale    bool  // mismatch lags the window: push ran since the last recount
 }
 
 // NewDetector returns a Detector for the given configuration. Zero fields
@@ -29,6 +39,12 @@ func NewDetector(cfg Config) *Detector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newDetector(cfg)
+}
+
+// newDetector builds a Detector for an already defaulted and validated
+// configuration.
+func newDetector(cfg Config) *Detector {
 	return &Detector{
 		cfg:      cfg,
 		win:      newRing(cfg.WindowSize),
@@ -54,10 +70,9 @@ func (d *Detector) Window() []int64 { return d.win.Snapshot() }
 // condition without reallocating.
 func (d *Detector) Reset() {
 	d.win.Reset()
-	for i := range d.mismatch {
-		d.mismatch[i] = 0
-	}
+	clear(d.mismatch)
 	d.observed = 0
+	d.stale = false
 }
 
 // Observe appends one sample to the window, updating all per-lag mismatch
@@ -93,6 +108,57 @@ func (d *Detector) Observe(x int64) {
 	admitReversed(mm[:k], recent[len(recent)-k:], x)
 	mm = mm[k:]
 	admitReversed(mm, old[len(old)-len(mm):], x)
+}
+
+// push appends x to the window without touching the mismatch counts, which
+// stay stale until the next recount: the O(1) observe of a long lock
+// episode.
+func (d *Detector) push(x int64) {
+	d.win.Push(x)
+	d.observed++
+	d.stale = true
+}
+
+// recount rebuilds every mismatch count from the window and clears the
+// stale mark; it does nothing when the counts are fresh. The ring is
+// first rotated in place so the window is one slice, which makes each lag
+// one branch-free compare loop of window[m:] against window[:n-m]:
+// MaxLag·n − MaxLag(MaxLag+1)/2 compares on a full window, about 80k at
+// the default 512/192 geometry.
+func (d *Detector) recount() {
+	if !d.stale {
+		return
+	}
+	d.stale = false
+	w := d.win.Linearize()
+	n := len(w)
+	clear(d.mismatch)
+	for m := 1; m <= min(d.cfg.MaxLag, n-1); m++ {
+		d.mismatch[m] = countDiffs(w[m:], w[:n-m])
+	}
+}
+
+// recountBreakEven is the number of full-window observes whose compare
+// work (2·MaxLag each: one eviction pass and one new-sample pass) adds up
+// to one recount (MaxLag·WindowSize − MaxLag(MaxLag+1)/2 compares): 207 at
+// the default 512/192 geometry. It is the ski-rental threshold of a lock
+// episode, which keeps observing incrementally for this many samples and
+// defers the counts only after that, so no stream pays more than about
+// twice the incremental cost.
+func recountBreakEven(cfg Config) int {
+	m, n := cfg.MaxLag, cfg.WindowSize
+	return (m*n - m*(m+1)/2) / (2 * m)
+}
+
+// countDiffs is the number of positions at which a and b differ. b is at
+// least as long as a.
+func countDiffs(a, b []int64) int {
+	b = b[:len(a)]
+	c := 0
+	for i, x := range a {
+		c += differs(x, b[i])
+	}
+	return c
 }
 
 // retire removes the pairs (s[j], v) from the counts: cnt[j] drops by one

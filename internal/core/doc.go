@@ -21,7 +21,13 @@
 // window is exactly periodic with period m. The implementation keeps the
 // per-lag mismatch counts incrementally (O(M) work per observation, no
 // rescan of the window), mirroring the circular-list, low-overhead
-// implementation the paper requires for runtime use.
+// implementation the paper requires for runtime use. A locked
+// StreamPredictor does not read the counts, so once a lock episode has
+// lasted as many observations as one rebuild of the counts costs
+// (K = (M·N − M(M+1)/2) / 2M, 207 at the default N = 512, M = 192), it
+// stops maintaining them: each further observation is an O(1) window
+// append, and the counts are rebuilt once from the window when the lock
+// drops. Whenever the predictor is learning, the counts are exact.
 //
 // Two layers are provided:
 //

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // ring is a fixed-capacity circular buffer of int64 samples. It backs the
 // DPD window: the paper stresses that the detector must be implementable
 // with circular lists so that the runtime overhead stays small, so the
@@ -62,6 +64,20 @@ func (r *ring) Segments() (old, recent []int64) {
 		return r.buf[r.head:end], nil
 	}
 	return r.buf[r.head:], r.buf[:end-len(r.buf)]
+}
+
+// Linearize rotates the backing buffer in place so the window starts at
+// index 0, and returns it as one slice, oldest first. The rotation is three
+// reversals and allocates nothing. The slice aliases the ring and is valid
+// only until the next Push or Reset.
+func (r *ring) Linearize() []int64 {
+	if r.head != 0 {
+		slices.Reverse(r.buf[:r.head])
+		slices.Reverse(r.buf[r.head:])
+		slices.Reverse(r.buf)
+		r.head = 0
+	}
+	return r.buf[:r.count]
 }
 
 // At returns the i-th stored sample, where 0 is the oldest and Len()-1 the

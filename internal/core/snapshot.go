@@ -90,8 +90,8 @@ func (p *StreamPredictor) recentOutcomes() []bool {
 // RestoreStreamPredictor rebuilds a predictor from a snapshot. The
 // snapshot is validated in full — a corrupt or hand-edited snapshot yields
 // an error, never a predictor that panics later. The detector's per-lag
-// mismatch counts are not stored; they are reconstructed exactly by
-// replaying the window, which is cheaper than persisting them and cannot
+// mismatch counts are not stored; they are rebuilt exactly from the window
+// by one recount, which is cheaper than persisting them and cannot
 // disagree with the window contents.
 func RestoreStreamPredictor(s PredictorSnapshot) (*StreamPredictor, error) {
 	cfg := s.Config
@@ -112,20 +112,18 @@ func RestoreStreamPredictor(s PredictorSnapshot) (*StreamPredictor, error) {
 	// constructors re-default zero config fields, which would silently
 	// rewrite a snapshot that legitimately uses zero values.
 	p := &StreamPredictor{
-		cfg: cfg,
-		det: &Detector{
-			cfg:      cfg,
-			win:      newRing(cfg.WindowSize),
-			mismatch: make([]int, cfg.MaxLag+1),
-		},
-		state: Learning,
+		cfg:        cfg,
+		det:        newDetector(cfg),
+		state:      Learning,
+		deferAfter: recountBreakEven(cfg),
 	}
 	if cfg.RelearnWindow > 0 {
 		p.recent = make([]bool, cfg.RelearnWindow)
 	}
 	for _, x := range s.Window {
-		p.det.Observe(x)
+		p.det.push(x)
 	}
+	p.det.recount()
 	p.det.observed = s.WindowObserved
 
 	switch s.State {

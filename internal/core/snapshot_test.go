@@ -114,6 +114,45 @@ func TestSnapshotRoundTripNoisy(t *testing.T) {
 	}
 }
 
+// TestRestoreRecountsExactCounts checks that the counts a restore rebuilds
+// from the window are exact, for a locked snapshot taken deep in a lock
+// episode (whose own counts were deferred), a learning snapshot of a full
+// wrapped window and a learning snapshot of a partial window.
+func TestRestoreRecountsExactCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(13))
+	locked := NewStreamPredictor(cfg)
+	for _, x := range periodicStream(3*cfg.WindowSize+5, 18) {
+		locked.Observe(x)
+	}
+	if locked.State() != Locked || !locked.det.stale {
+		t.Fatalf("warm-up should end deep in a deferred lock episode (state %v, stale %v)", locked.State(), locked.det.stale)
+	}
+	learning := NewStreamPredictor(cfg)
+	for i := 0; i < 2*cfg.WindowSize+37; i++ {
+		learning.Observe(rng.Int63n(6))
+	}
+	partial := NewStreamPredictor(cfg)
+	for i := 0; i < cfg.WindowSize/3; i++ {
+		partial.Observe(rng.Int63n(6))
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *StreamPredictor
+		state LockState
+	}{{"locked", locked, Locked}, {"learning", learning, Learning}, {"partial", partial, Learning}} {
+		q := restore(t, tc.p.Snapshot())
+		if q.State() != tc.state || q.det.stale {
+			t.Fatalf("%s: restored state %v, stale %v", tc.name, q.State(), q.det.stale)
+		}
+		for m := 1; m <= cfg.MaxLag; m++ {
+			if got, want := q.det.Distance(m), q.det.DistanceDirect(m); got != want {
+				t.Fatalf("%s: restored Distance(%d)=%d, DistanceDirect=%d", tc.name, m, got, want)
+			}
+		}
+	}
+}
+
 // TestSnapshotIsDetached verifies the snapshot shares no memory with the
 // live predictor: observing after Snapshot must not change it.
 func TestSnapshotIsDetached(t *testing.T) {

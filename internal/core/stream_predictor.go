@@ -52,6 +52,13 @@ type Counters struct {
 //     are available at once. Observations that contradict the pattern are
 //     counted; HoldDown consecutive misses drop the lock and learning
 //     starts again from the current window.
+//
+// A lock episode feeds its first recountBreakEven observes to the
+// detector incrementally and only appends the rest to its window; unlock
+// rebuilds the counts once. Short episodes (relock storms on noisy
+// streams) therefore cost what they always did, and long ones pay one
+// rebuild instead of O(MaxLag) per observe. The detector's counts are
+// exact whenever the predictor is learning.
 type StreamPredictor struct {
 	cfg Config
 	det *Detector
@@ -60,6 +67,12 @@ type StreamPredictor struct {
 	pattern    []int64
 	phase      int // index into pattern of the next expected observation
 	missStreak int
+
+	// lockedRun counts the incremental observes of the current lock
+	// episode, up to deferAfter (recountBreakEven of the config); past
+	// that the episode only pushes samples into the detector window.
+	lockedRun  int
+	deferAfter int
 
 	// recent is a ring of hit/miss outcomes observed while locked; it
 	// backs the miss-rate relearn trigger (Config.RelearnWindow /
@@ -86,9 +99,10 @@ type StreamPredictor struct {
 func NewStreamPredictor(cfg Config) *StreamPredictor {
 	cfg = cfg.withDefaults()
 	p := &StreamPredictor{
-		cfg:   cfg,
-		det:   NewDetector(cfg),
-		state: Learning,
+		cfg:        cfg,
+		det:        NewDetector(cfg),
+		state:      Learning,
+		deferAfter: recountBreakEven(cfg),
 	}
 	// Allocate the hit/miss ring up front so the steady-state Observe
 	// path never allocates.
@@ -135,6 +149,7 @@ func (p *StreamPredictor) Reset() {
 	p.pattern = nil
 	p.phase = 0
 	p.missStreak = 0
+	p.lockedRun = 0
 	p.candidatePeriod = 0
 	p.candidateRuns = 0
 	p.resetRecent()
@@ -156,7 +171,12 @@ func (p *StreamPredictor) Observe(x int64) {
 		}
 		p.recordOutcome(hit)
 		p.phase = (p.phase + 1) % len(p.pattern)
-		p.det.Observe(x)
+		if p.lockedRun < p.deferAfter {
+			p.lockedRun++
+			p.det.Observe(x)
+		} else {
+			p.det.push(x)
+		}
 		if p.missStreak > p.cfg.HoldDown || p.missRateExceeded() {
 			p.unlock()
 		}
@@ -200,13 +220,17 @@ func (p *StreamPredictor) lock(period int) {
 	p.phase = n % period
 	p.state = Locked
 	p.missStreak = 0
+	p.lockedRun = 0
 	p.candidatePeriod = 0
 	p.candidateRuns = 0
 	p.resetRecent()
 	p.counters.Locks++
 }
 
+// unlock drops the pattern and returns to learning, rebuilding the
+// detector's counts if the episode deferred them.
 func (p *StreamPredictor) unlock() {
+	p.det.recount()
 	p.state = Learning
 	p.pattern = nil
 	p.phase = 0
