@@ -19,14 +19,22 @@
 //
 // # Execution model
 //
-// Every rank runs as a goroutine, but the scheduler is strictly
-// cooperative: exactly one rank executes at any moment and ranks hand
+// Every rank runs as a coroutine (iter.Pull) driven by a round-robin
+// scheduler: exactly one rank executes at any moment and ranks hand
 // control back to the engine only when they block (waiting for a message
-// that has not been produced yet) or finish. Sends never block — eager
-// sends are buffered immediately and rendezvous sends charge their
-// handshake latency to the sender's clock without waiting for the
-// receiver — so the schedule is independent of goroutine timing and runs
-// are fully reproducible for a fixed seed.
+// that has not been produced yet) or finish. A blocked rank is resumed
+// only once its mailbox has grown. Sends never block — eager sends are
+// buffered immediately and rendezvous sends charge their handshake
+// latency to the sender's clock without waiting for the receiver — so the
+// schedule is independent of goroutine timing and runs are fully
+// reproducible for a fixed seed. When a run deadlocks or a program
+// panics, the engine stops every unfinished coroutine before returning.
+//
+// Each rank's mailbox is one FIFO per sender, holding envelopes by value
+// in a reused buffer, so a send allocates nothing. A receive from a
+// specific source scans only that sender's queue, in send order. An
+// AnySource receive takes the earliest arrival across all queues; equal
+// arrival times go to the message that reached the mailbox first.
 //
 // Message arrival times are computed when the send is issued:
 //

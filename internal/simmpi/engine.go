@@ -71,9 +71,8 @@ type Engine struct {
 	blk     stream.EventBlock
 	sinkErr error
 
-	traceAll   bool
-	traceSet   map[int]bool
-	physical   map[int][]trace.Record // per receiver, unsorted physical events
+	traced     []bool           // per receiver: record its events
+	physical   [][]trace.Record // per receiver, unsorted physical events
 	deadlock   bool
 	programErr error
 }
@@ -91,22 +90,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		model:    model,
 		tr:       trace.New(cfg.App, cfg.Procs),
-		traceAll: len(cfg.TraceReceivers) == 0,
-		traceSet: make(map[int]bool, len(cfg.TraceReceivers)),
-		physical: make(map[int][]trace.Record),
+		traced:   make([]bool, cfg.Procs),
+		physical: make([][]trace.Record, cfg.Procs),
+	}
+	traceAll := len(cfg.TraceReceivers) == 0
+	for i := range e.traced {
+		e.traced[i] = traceAll
 	}
 	for _, r := range cfg.TraceReceivers {
-		e.traceSet[r] = true
+		if r >= 0 && r < cfg.Procs {
+			e.traced[r] = true
+		}
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		e.ranks = append(e.ranks, newRank(e, i))
 	}
 	return e, nil
-}
-
-// traced reports whether events for the given receiver should be recorded.
-func (e *Engine) traced(receiver int) bool {
-	return e.traceAll || e.traceSet[receiver]
 }
 
 // Run executes the program on every rank and returns the collected trace.
@@ -167,11 +166,21 @@ func (e *Engine) execute(program Program) error {
 			break
 		}
 	}
+	var err error
 	if e.programErr != nil {
-		return fmt.Errorf("simmpi: rank program failed: %w", e.programErr)
+		err = fmt.Errorf("simmpi: rank program failed: %w", e.programErr)
+	} else if e.deadlock {
+		err = fmt.Errorf("simmpi: deadlock: %s", e.describeBlockedRanks())
 	}
-	if e.deadlock {
-		return fmt.Errorf("simmpi: deadlock: %s", e.describeBlockedRanks())
+	// Unwind the coroutines of ranks that will never finish, so a failed
+	// run leaks nothing.
+	for _, r := range e.ranks {
+		if r.state != stateDone {
+			r.stop()
+		}
+	}
+	if err != nil {
+		return err
 	}
 	e.flushPhysical()
 	return nil
@@ -210,7 +219,7 @@ func (e *Engine) describeBlockedRanks() string {
 			if desc != "" {
 				desc += "; "
 			}
-			desc += fmt.Sprintf("rank %d blocked on %s", r.id, r.blockedOn)
+			desc += fmt.Sprintf("rank %d blocked on %s", r.id, r.blockedOn())
 		}
 	}
 	if desc == "" {
@@ -219,24 +228,20 @@ func (e *Engine) describeBlockedRanks() string {
 	return desc
 }
 
-// flushPhysical sorts the buffered physical events of every receiver by
-// arrival time and appends them to the trace, assigning dense sequence
-// numbers. Ties are broken by the order the messages were sent so the
-// result is deterministic. The trace is grown once for the whole batch so
-// the appends never reallocate.
+// flushPhysical sorts the buffered physical events of every receiver, in
+// ascending receiver order, by arrival time and appends them to the trace,
+// assigning dense sequence numbers. Ties are broken by the order the
+// messages were sent so the result is deterministic. The trace is grown
+// once for the whole batch so the appends never reallocate.
 func (e *Engine) flushPhysical() {
-	receivers := make([]int, 0, len(e.physical))
-	total := 0
-	for r, recs := range e.physical {
-		receivers = append(receivers, r)
-		total += len(recs)
-	}
-	sort.Ints(receivers)
 	if e.sink == nil {
+		total := 0
+		for _, recs := range e.physical {
+			total += len(recs)
+		}
 		e.tr.Grow(total)
 	}
-	for _, recv := range receivers {
-		recs := e.physical[recv]
+	for _, recs := range e.physical {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
 		for _, rec := range recs {
 			e.emit(rec)
@@ -247,7 +252,7 @@ func (e *Engine) flushPhysical() {
 // recordLogical appends a logical-level receive record, if tracing is
 // enabled for the receiver.
 func (e *Engine) recordLogical(rec trace.Record) {
-	if e.cfg.DisableLogical || !e.traced(rec.Receiver) {
+	if e.cfg.DisableLogical || !e.traced[rec.Receiver] {
 		return
 	}
 	rec.Level = trace.Logical
@@ -260,7 +265,7 @@ func (e *Engine) recordLogical(rec trace.Record) {
 // messages per receiver, so growing from a nil slice would pay a dozen
 // reallocations per receiver.
 func (e *Engine) recordPhysical(rec trace.Record) {
-	if e.cfg.DisablePhysical || !e.traced(rec.Receiver) {
+	if e.cfg.DisablePhysical || !e.traced[rec.Receiver] {
 		return
 	}
 	rec.Level = trace.Physical

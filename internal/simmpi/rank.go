@@ -1,7 +1,9 @@
 package simmpi
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"mpipredict/internal/trace"
@@ -30,18 +32,57 @@ type Message struct {
 	Arrival float64
 }
 
-// envelope is a message in flight or queued at the receiver.
+// envelope is a message queued at the receiver. Envelopes are stored by
+// value in per-sender queues, so a send allocates nothing.
 type envelope struct {
-	sender  int
 	tag     int
 	size    int64
 	arrival float64
-	kind    trace.Kind
-	op      string
+	// seq is the receiver's mailbox sequence number at enqueue time: the
+	// order in which messages reached the mailbox across all senders.
+	seq  int
+	kind trace.Kind
+	op   string
 }
 
+// senderQueue holds the messages one sender has queued at a receiver, in
+// send order. buf[head:] are live; the backing array is reused once the
+// queue drains.
+type senderQueue struct {
+	buf  []envelope
+	head int
+}
+
+func (q *senderQueue) push(env envelope) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, env)
+}
+
+// take removes and returns the live envelope at index i (head <= i <
+// len(buf)). Envelopes ahead of it shift back one slot, so the queue keeps
+// send order.
+func (q *senderQueue) take(i int) envelope {
+	env := q.buf[i]
+	copy(q.buf[q.head+1:i+1], q.buf[q.head:i])
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return env
+}
+
+// errStopped unwinds a blocked rank program whose coroutine the engine
+// stops after a deadlock or a failure elsewhere in the run. It is not a
+// program error.
+var errStopped = errors.New("simmpi: rank stopped")
+
 // Rank is the per-process handle a Program uses to communicate. It must
-// only be used from the program goroutine it was handed to.
+// only be used from the program it was handed to.
 type Rank struct {
 	eng *Engine
 	id  int
@@ -49,13 +90,25 @@ type Rank struct {
 	clock float64
 	rng   *rand.Rand
 
-	state            rankState
-	resumeCh         chan struct{}
-	yieldCh          chan struct{}
-	mailbox          []*envelope
+	state rankState
+	// next resumes the rank's coroutine until it blocks or finishes;
+	// stop unwinds a suspended coroutine. yield suspends the coroutine
+	// from inside the program.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// queues holds one FIFO per sender. mailboxVersion counts every
+	// message that ever reached the mailbox and doubles as the next
+	// envelope's seq.
+	queues           []senderQueue
 	mailboxVersion   int
 	blockedAtVersion int
-	blockedOn        string
+	// blockedOp, blockedSrc and blockedTag describe the receive the rank
+	// is blocked on; they are formatted only for a deadlock report.
+	blockedOp  string
+	blockedSrc int
+	blockedTag int
 
 	// collectiveOp is non-empty while the rank executes a collective; the
 	// messages it generates are then recorded with Kind Collective and the
@@ -68,10 +121,11 @@ type Rank struct {
 
 func newRank(e *Engine, id int) *Rank {
 	return &Rank{
-		eng:   e,
-		id:    id,
-		rng:   e.rankRNG(id),
-		state: stateReady,
+		eng:    e,
+		id:     id,
+		rng:    e.rankRNG(id),
+		state:  stateReady,
+		queues: make([]senderQueue, e.cfg.Procs),
 	}
 }
 
@@ -90,42 +144,45 @@ func (r *Rank) SentMessages() int64 { return r.sentMessages }
 // ReceivedMessages returns how many messages this rank has received.
 func (r *Rank) ReceivedMessages() int64 { return r.receivedMessages }
 
-// start launches the rank goroutine. The goroutine waits for the engine
-// to resume it before running the program.
+// start wraps the program in a coroutine. The program does not run until
+// the engine first resumes the rank.
 func (r *Rank) start(program Program) {
-	r.resumeCh = make(chan struct{})
-	r.yieldCh = make(chan struct{})
-	go func() {
-		<-r.resumeCh
+	r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+		r.yield = yield
 		defer func() {
-			if p := recover(); p != nil {
+			if p := recover(); p != nil && p != errStopped {
 				if r.eng.programErr == nil {
 					r.eng.programErr = fmt.Errorf("rank %d panicked: %v", r.id, p)
 				}
 			}
 			r.state = stateDone
-			r.yieldCh <- struct{}{}
 		}()
 		program(r)
-	}()
+	})
 }
 
-// resumeOnce hands control to the rank goroutine and waits for it to
-// block or finish. Called only by the engine scheduler.
+// resumeOnce runs the rank's coroutine until it blocks or finishes.
+// Called only by the engine scheduler.
 func (r *Rank) resumeOnce() {
 	r.state = stateReady
-	r.resumeCh <- struct{}{}
-	<-r.yieldCh
+	r.next()
 }
 
 // block suspends the rank until the scheduler resumes it. Called only
-// from the rank goroutine.
-func (r *Rank) block(what string) {
-	r.blockedOn = what
+// from the rank's program. If the engine stops the rank instead, block
+// unwinds the program with errStopped and never returns into it.
+func (r *Rank) block(op string, src, tag int) {
+	r.blockedOp, r.blockedSrc, r.blockedTag = op, src, tag
 	r.blockedAtVersion = r.mailboxVersion
 	r.state = stateBlocked
-	r.yieldCh <- struct{}{}
-	<-r.resumeCh
+	if !r.yield(struct{}{}) {
+		panic(errStopped)
+	}
+}
+
+// blockedOn describes the receive a blocked rank waits for.
+func (r *Rank) blockedOn() string {
+	return fmt.Sprintf("%s(src=%d, tag=%d)", r.blockedOp, r.blockedSrc, r.blockedTag)
 }
 
 // Compute advances the rank's clock by a compute phase of the given
@@ -159,10 +216,9 @@ func (r *Rank) send(dst, tag int, size int64, kind trace.Kind, op string) {
 		r.clock += m.RendezvousHandshake(r.rng)
 	}
 	arrival := r.clock + m.TransferTime(r.rng, size)
-	dst2 := r.eng.ranks[dst]
-	env := &envelope{sender: r.id, tag: tag, size: size, arrival: arrival, kind: kind, op: op}
-	dst2.mailbox = append(dst2.mailbox, env)
-	dst2.mailboxVersion++
+	to := r.eng.ranks[dst]
+	to.queues[r.id].push(envelope{tag: tag, size: size, arrival: arrival, seq: to.mailboxVersion, kind: kind, op: op})
+	to.mailboxVersion++
 	r.sentMessages++
 	r.eng.recordPhysical(trace.Record{
 		Time:     arrival,
@@ -184,10 +240,9 @@ func (r *Rank) Recv(src, tag int) Message {
 
 func (r *Rank) recv(src, tag int, op string) Message {
 	for {
-		idx := r.match(src, tag)
+		from, idx := r.match(src, tag)
 		if idx >= 0 {
-			env := r.mailbox[idx]
-			r.mailbox = append(r.mailbox[:idx], r.mailbox[idx+1:]...)
+			env := r.queues[from].take(idx)
 			if env.arrival > r.clock {
 				r.clock = env.arrival
 			}
@@ -196,40 +251,52 @@ func (r *Rank) recv(src, tag int, op string) Message {
 			r.eng.recordLogical(trace.Record{
 				Time:     r.clock,
 				Receiver: r.id,
-				Sender:   env.sender,
+				Sender:   from,
 				Size:     env.size,
 				Tag:      env.tag,
 				Kind:     env.kind,
 				Op:       env.op,
 			})
-			return Message{Sender: env.sender, Tag: env.tag, Size: env.size, Arrival: env.arrival}
+			return Message{Sender: from, Tag: env.tag, Size: env.size, Arrival: env.arrival}
 		}
-		r.block(fmt.Sprintf("%s(src=%d, tag=%d)", op, src, tag))
+		r.block(op, src, tag)
 	}
 }
 
-// match returns the index of the message to deliver for a receive with
-// the given source and tag, or -1 when none is queued. For a specific
-// source, messages from that source are matched in send order (MPI
-// pairwise non-overtaking). For AnySource, the earliest-arriving queued
-// match is chosen.
-func (r *Rank) match(src, tag int) int {
-	best := -1
-	for i, env := range r.mailbox {
-		if src != AnySource && env.sender != src {
-			continue
+// match locates the message to deliver for a receive with the given
+// source and tag: the sender's queue and the index within its buffer, or
+// idx -1 when none is queued. For a specific source, messages from that
+// source are matched in send order (MPI pairwise non-overtaking). For
+// AnySource, the earliest-arriving queued match is chosen; equal arrival
+// times go to the message that reached the mailbox first.
+func (r *Rank) match(src, tag int) (from, idx int) {
+	if src != AnySource {
+		if src < 0 || src >= len(r.queues) {
+			return src, -1
 		}
-		if tag != AnyTag && env.tag != tag {
-			continue
+		q := &r.queues[src]
+		for i := q.head; i < len(q.buf); i++ {
+			if tag == AnyTag || q.buf[i].tag == tag {
+				return src, i
+			}
 		}
-		if src != AnySource {
-			return i // first in send order
-		}
-		if best == -1 || env.arrival < r.mailbox[best].arrival {
-			best = i
+		return src, -1
+	}
+	from, idx = -1, -1
+	var best *envelope
+	for s := range r.queues {
+		q := &r.queues[s]
+		for i := q.head; i < len(q.buf); i++ {
+			env := &q.buf[i]
+			if tag != AnyTag && env.tag != tag {
+				continue
+			}
+			if best == nil || env.arrival < best.arrival || (env.arrival == best.arrival && env.seq < best.seq) {
+				best, from, idx = env, s, i
+			}
 		}
 	}
-	return best
+	return from, idx
 }
 
 // Sendrecv sends one message and receives another, like MPI_Sendrecv.
