@@ -14,7 +14,6 @@ import (
 
 	"mpipredict/internal/benchdefs"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
 	"mpipredict/internal/workloads"
@@ -205,10 +204,10 @@ func BenchmarkRendezvousElimination(b *testing.B) {
 }
 
 // BenchmarkBaselineComparison regenerates the Section 6 comparison: the
-// DPD predicts several future values, whereas the single-next-value
-// heuristics of the related work cannot answer +5 queries at all and the
-// Markov baselines need chaining. The metric is the +5 sender accuracy of
-// each predictor on the BT.9 logical stream.
+// DPD predicts several future values, whereas lastvalue repeats the last
+// one and markov1 has to chain single-step transitions. The metric is the
+// +5 sender accuracy of each registered strategy on the BT.9 logical
+// stream.
 func BenchmarkBaselineComparison(b *testing.B) {
 	spec := workloads.Spec{Name: "bt", Procs: 9}
 	recv, _ := workloads.TypicalReceiver(spec.Name, spec.Procs)
@@ -218,13 +217,13 @@ func BenchmarkBaselineComparison(b *testing.B) {
 			b.Fatal(err)
 		}
 		stream := tr.SenderStream(recv, trace.Logical)
-		for _, name := range predictor.Names() {
-			acc := evalx.EvaluateStream(stream, func() predictor.Predictor {
-				p, err := predictor.New(name)
+		for _, name := range strategy.Names() {
+			acc := evalx.EvaluateStream(stream, func() strategy.Strategy {
+				s, err := strategy.New(name, DefaultPredictorConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
-				return p
+				return s
 			}, 5)
 			b.ReportMetric(100*acc.Accuracy(5), name+"-plus5-%")
 		}
@@ -253,7 +252,7 @@ func BenchmarkAblationLockPolicy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for name, cfg := range variants {
-			acc := evalx.EvaluateStream(stream, func() predictor.Predictor { return predictor.NewDPD(cfg) }, 5)
+			acc := evalx.EvaluateStream(stream, func() strategy.Strategy { return strategy.NewDPD(cfg) }, 5)
 			b.ReportMetric(100*acc.Accuracy(1), name+"-%")
 		}
 	}

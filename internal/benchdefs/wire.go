@@ -88,7 +88,7 @@ func NewWireBenchEnvFor(strategy string) (*WireBenchEnv, error) {
 	}
 	for i := 0; i < serveWarmEvents(); i++ {
 		v := int64(i % ServeBenchPeriod)
-		reg.Observe("bench", "s", serve.Event{Sender: v, Size: 100 * v})
+		reg.ObserveBlockSeq("bench", "s", "", 0, []int64{v}, []int64{100 * v})
 	}
 
 	env.c, err = wire.Dial(env.ctx, ln.Addr().String(), wire.ClientOptions{})

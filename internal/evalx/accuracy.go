@@ -16,19 +16,19 @@ import (
 	"fmt"
 
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
+	"mpipredict/internal/strategy"
 )
 
 // DefaultHorizons is the number of future values the paper predicts.
 const DefaultHorizons = 5
 
-// PredictorFactory builds a fresh predictor for one stream evaluation.
-type PredictorFactory func() predictor.Predictor
+// PredictorFactory builds a fresh strategy for one stream evaluation.
+type PredictorFactory func() strategy.Strategy
 
-// DefaultPredictor returns the paper's predictor: the DPD with the default
-// configuration.
-func DefaultPredictor() predictor.Predictor {
-	return predictor.NewDPD(core.DefaultConfig())
+// newDefaultPredictor builds the paper's predictor, the DPD with the
+// default configuration; a nil PredictorFactory selects it.
+func newDefaultPredictor() strategy.Strategy {
+	return strategy.NewDPD(core.DefaultConfig())
 }
 
 // StreamAccuracy is the result of evaluating one stream.
@@ -91,7 +91,7 @@ func EvaluateStream(stream []int64, factory PredictorFactory, horizons int) Stre
 		horizons = DefaultHorizons
 	}
 	if factory == nil {
-		factory = DefaultPredictor
+		factory = newDefaultPredictor
 	}
 	p := factory()
 	acc := StreamAccuracy{
@@ -126,7 +126,7 @@ func SetAccuracy(stream []int64, factory PredictorFactory, window int) float64 {
 		window = DefaultHorizons
 	}
 	if factory == nil {
-		factory = DefaultPredictor
+		factory = newDefaultPredictor
 	}
 	p := factory()
 	var sum float64

@@ -102,7 +102,7 @@ func TestEvaluateSourceStreamScorerMatchesEvaluateStream(t *testing.T) {
 	for _, stream := range patterns {
 		for _, h := range []int{1, 3, 5} {
 			want := EvaluateStream(stream, nil, h)
-			sc := newStreamScorer(DefaultPredictor(), h)
+			sc := newStreamScorer(newDefaultPredictor(), h)
 			for _, v := range stream {
 				sc.push(v)
 			}
@@ -135,7 +135,7 @@ func TestSetScorerMatchesSetAccuracy(t *testing.T) {
 	for _, s := range streams {
 		for _, w := range []int{1, 5} {
 			want := SetAccuracy(s, nil, w)
-			sc := newSetScorer(DefaultPredictor(), w)
+			sc := newSetScorer(newDefaultPredictor(), w)
 			for _, v := range s {
 				sc.push(v)
 			}

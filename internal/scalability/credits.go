@@ -4,13 +4,15 @@ import (
 	"fmt"
 
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
+	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
 )
 
-// defaultPredictorConfig is the core configuration shared by the
-// scalability mechanisms' default forecasters.
-func defaultPredictorConfig() core.Config { return core.DefaultConfig() }
+// defaultForecaster is the scalability mechanisms' default forecaster: a
+// DPD pair with the default configuration.
+func defaultForecaster() *strategy.MessagePredictor {
+	return strategy.NewDPDMessagePredictor(core.DefaultConfig())
+}
 
 // CreditConfig parameterises the credit-based flow control of Section 2.2.
 type CreditConfig struct {
@@ -18,7 +20,7 @@ type CreditConfig struct {
 	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor.
-	Forecaster *predictor.MessagePredictor
+	Forecaster *strategy.MessagePredictor
 }
 
 func (c CreditConfig) withDefaults() CreditConfig {
@@ -26,7 +28,7 @@ func (c CreditConfig) withDefaults() CreditConfig {
 		c.Horizon = 5
 	}
 	if c.Forecaster == nil {
-		c.Forecaster = predictor.NewDPDMessagePredictor(defaultPredictorConfig())
+		c.Forecaster = defaultForecaster()
 	}
 	return c
 }
@@ -90,7 +92,7 @@ type CreditManager struct {
 	// (swap + truncate) so the per-message regrant does not allocate in
 	// steady state.
 	next     map[int][]int64
-	forecast []predictor.MessageForecast
+	forecast []strategy.MessageForecast
 }
 
 // NewCreditManager builds a credit manager for a job with the given

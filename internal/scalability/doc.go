@@ -21,6 +21,6 @@
 //     paying the three-message rendezvous handshake.
 //
 // All three consume the same (sender, size) forecasts produced by
-// predictor.MessagePredictor and can be replayed over any recorded trace,
+// strategy.MessagePredictor and can be replayed over any recorded trace,
 // which is how the corresponding benchmark experiments are generated.
 package scalability

@@ -11,20 +11,23 @@ import (
 )
 
 // TestRegistryObserveZeroAllocs pins the service hot path: observing one
-// event on an existing session — shard hash, LRU touch, two predictor
-// observes, counter bump — must not allocate. This is the single-event
-// steady state of a daemon under full load.
+// event, as one-element columns, on an existing session — shard hash, LRU
+// touch, two predictor observes, counter bump — must not allocate. This
+// is the single-event steady state of a daemon under full load.
 func TestRegistryObserveZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
 
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Observe("tenant", "stream", Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))})
+		v := int64(i % 6)
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, []int64{v}, []int64{100 * v}); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.Observe allocates %.2f objects per event, want 0", allocs)
+		t.Errorf("single-event ObserveBlockSeq allocates %.2f objects per event, want 0", allocs)
 	}
 }
 
@@ -34,20 +37,36 @@ func TestRegistryObserveLearningZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	var x int64
 	for i := 0; i < 4*core.DefaultConfig().WindowSize; i++ {
-		r.Observe("tenant", "stream", Event{Sender: x, Size: x})
+		observe(r, "tenant", "stream", Event{Sender: x, Size: x})
 		x++
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Observe("tenant", "stream", Event{Sender: x, Size: x})
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, []int64{x}, []int64{x}); err != nil {
+			t.Fatal(err)
+		}
 		x++
 	})
 	if allocs != 0 {
-		t.Errorf("learning-state Observe allocates %.2f objects per event, want 0", allocs)
+		t.Errorf("learning-state ObserveBlockSeq allocates %.2f objects per event, want 0", allocs)
 	}
 }
 
-// TestRegistryObserveBatchZeroAllocs pins the batched ingest path the
-// replay ingester drives.
+// periodicColumns returns a 64-event (sender, size) block of the period-6
+// stream feedPeriodic warms sessions with.
+func periodicColumns() (senders, sizes []int64) {
+	senders = make([]int64, 64)
+	sizes = make([]int64, 64)
+	for i := range senders {
+		senders[i] = int64(i % 6)
+		sizes[i] = int64(100 * (i % 6))
+	}
+	return senders, sizes
+}
+
+// TestRegistryObserveBatchZeroAllocs pins the events-batch ingest path:
+// the JSON handler re-lays an events-form body into its pooled columns
+// and observes them as one block, and neither step may allocate once the
+// columns have grown to the batch size.
 func TestRegistryObserveBatchZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
@@ -55,38 +74,43 @@ func TestRegistryObserveBatchZeroAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))}
 	}
+	var senders, sizes []int64
 	allocs := testing.AllocsPerRun(200, func() {
-		r.ObserveBatch("tenant", "stream", batch)
+		senders, sizes = senders[:0], sizes[:0]
+		for _, ev := range batch {
+			senders = append(senders, ev.Sender)
+			sizes = append(sizes, ev.Size)
+		}
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, senders, sizes); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.ObserveBatch allocates %.2f objects per batch, want 0", allocs)
+		t.Errorf("events batch re-laid as columns allocates %.2f objects per batch, want 0", allocs)
 	}
 }
 
 // TestRegistryObserveBatchSeqZeroAllocs pins the idempotent ingest path:
 // the duplicate check is one integer compare under the shard lock, so
-// sequenced batches — applied or dropped as duplicates — must stay
+// sequenced blocks — applied or dropped as duplicates — must stay
 // allocation-free like the unsequenced path.
 func TestRegistryObserveBatchSeqZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
-	batch := make([]Event, 64)
-	for i := range batch {
-		batch[i] = Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))}
-	}
+	senders, sizes := periodicColumns()
 	seq := int64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
-		if _, _, err := r.ObserveBatchSeq("tenant", "stream", "", seq, batch); err != nil {
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", seq, senders, sizes); err != nil {
 			t.Fatal(err)
 		}
 		// Duplicate delivery of the same seq: dropped without observing.
-		if _, dup, err := r.ObserveBatchSeq("tenant", "stream", "", seq, batch); err != nil || !dup {
+		if _, dup, err := r.ObserveBlockSeq("tenant", "stream", "", seq, senders, sizes); err != nil || !dup {
 			t.Fatalf("dup=%v err=%v", dup, err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.ObserveBatchSeq allocates %.2f objects per batch pair, want 0", allocs)
+		t.Errorf("sequenced ObserveBlockSeq allocates %.2f objects per block pair, want 0", allocs)
 	}
 }
 

@@ -20,72 +20,69 @@ import (
 func TestRegistryObserveBlockZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
-	senders := make([]int64, 64)
-	sizes := make([]int64, 64)
-	for i := range senders {
-		senders[i] = int64(i % 6)
-		sizes[i] = int64(100 * (i % 6))
-	}
+	senders, sizes := periodicColumns()
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := r.ObserveBlock("tenant", "stream", senders, sizes); err != nil {
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, senders, sizes); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.ObserveBlock allocates %.2f objects per 64-event block, want 0", allocs)
+		t.Errorf("Registry.ObserveBlockSeq allocates %.2f objects per 64-event block, want 0", allocs)
 	}
 }
 
-// TestObserveBlockMatchesObserveBatch pins that the columnar path drives
-// sessions into the exact state the event-object path does: identical
-// snapshots after identical streams.
+// TestObserveBlockMatchesObserveBatch pins that the observe handler's two
+// body forms drive sessions into the exact same state: identical
+// snapshots after the same stream posted as event objects and as
+// columns.
 func TestObserveBlockMatchesObserveBatch(t *testing.T) {
-	batchReg := NewRegistry(Config{})
-	blockReg := NewRegistry(Config{})
+	objReg, colReg := NewRegistry(Config{}), NewRegistry(Config{})
+	objSrv, colSrv := NewServer(objReg), NewServer(colReg)
 	const n = 500
-	events := make([]Event, n)
-	senders := make([]int64, n)
-	sizes := make([]int64, n)
-	for i := 0; i < n; i++ {
-		events[i] = Event{Sender: int64(i % 9), Size: int64(64 * (i % 9))}
-		senders[i] = events[i].Sender
-		sizes[i] = events[i].Size
-	}
 	for i := 0; i < n; i += 64 {
-		end := i + 64
-		if end > n {
-			end = n
+		end := min(i+64, n)
+		var events []Event
+		var senders, sizes []int64
+		for j := i; j < end; j++ {
+			ev := Event{Sender: int64(j % 9), Size: int64(64 * (j % 9))}
+			events = append(events, ev)
+			senders = append(senders, ev.Sender)
+			sizes = append(sizes, ev.Size)
 		}
-		batchReg.ObserveBatch("t", "s", events[i:end])
-		if _, err := blockReg.ObserveBlock("t", "s", senders[i:end], sizes[i:end]); err != nil {
-			t.Fatal(err)
+		for srv, req := range map[*Server]observeRequest{
+			objSrv: {Tenant: "t", Stream: "s", Events: events},
+			colSrv: {Tenant: "t", Stream: "s", Senders: senders, Sizes: sizes},
+		} {
+			if rec := postObserveJSON(t, srv, string(mustJSON(t, req))); rec.Code != http.StatusOK {
+				t.Fatalf("observe returned %d: %s", rec.Code, rec.Body.String())
+			}
 		}
 	}
-	a, b := batchReg.SnapshotSessions(), blockReg.SnapshotSessions()
+	a, b := objReg.SnapshotSessions(), colReg.SnapshotSessions()
 	if !reflect.DeepEqual(a, b) {
-		t.Error("block-fed session snapshot differs from the batch-fed one")
+		t.Error("column-fed session snapshot differs from the object-fed one")
 	}
 }
 
 func TestObserveBlockValidation(t *testing.T) {
 	r := NewRegistry(Config{})
-	if _, err := r.ObserveBlock("t", "s", []int64{1, 2}, []int64{1}); err == nil {
+	if _, _, err := r.ObserveBlockSeq("t", "s", "", 0, []int64{1, 2}, []int64{1}); err == nil {
 		t.Error("mismatched column lengths accepted")
 	}
-	// Empty block: probe semantics, like an empty batch.
-	if total, err := r.ObserveBlock("t", "s", nil, nil); err != nil || total != 0 {
-		t.Errorf("empty block on missing session: total=%d err=%v", total, err)
+	// Empty block: probe semantics, no session created.
+	if total, _, err := r.ObserveBlockSeq("t", "s", "", 0, nil, nil); err != nil || total != 0 || r.Len() != 0 {
+		t.Errorf("empty block on missing session: total=%d err=%v sessions=%d", total, err, r.Len())
 	}
-	if _, err := r.ObserveBlockAs("t", "s", "no-such-strategy", nil, nil); err == nil {
+	if _, _, err := r.ObserveBlockSeq("t", "s", "no-such-strategy", 0, nil, nil); err == nil {
 		t.Error("unknown strategy accepted on an empty block")
 	}
-	if _, err := r.ObserveBlock("t", "s", []int64{1}, []int64{2}); err != nil {
+	if _, _, err := r.ObserveBlockSeq("t", "s", "", 0, []int64{1}, []int64{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveBlockAs("t", "s", "markov1", []int64{1}, []int64{2}); err == nil {
+	if _, _, err := r.ObserveBlockSeq("t", "s", "markov1", 0, []int64{1}, []int64{2}); err == nil {
 		t.Error("strategy mismatch on an existing session accepted")
 	}
-	if total, err := r.ObserveBlockAs("t", "s", "dpd", nil, nil); err != nil || total != 1 {
+	if total, _, err := r.ObserveBlockSeq("t", "s", "dpd", 0, nil, nil); err != nil || total != 1 {
 		t.Errorf("matching empty probe: total=%d err=%v", total, err)
 	}
 }

@@ -25,11 +25,35 @@ func (c *testClock) Now() time.Time { return c.now }
 
 func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
+// observe feeds one event to the session as one-element columns, with the
+// registry's default strategy and no sequence number. The default strategy
+// never mismatches, so there is no error to report.
+func observe(r *Registry, tenant, stream string, ev Event) {
+	r.ObserveBlockSeq(tenant, stream, "", 0, []int64{ev.Sender}, []int64{ev.Size})
+}
+
+// observeAs is observe with an explicit strategy name.
+func observeAs(r *Registry, tenant, stream, strat string, ev Event) error {
+	_, _, err := r.ObserveBlockSeq(tenant, stream, strat, 0, []int64{ev.Sender}, []int64{ev.Size})
+	return err
+}
+
+// observeEvents lays a slice of event objects out as columns and feeds
+// them as one block, the way the JSON handler treats the events form.
+func observeEvents(r *Registry, tenant, stream, strat string, seq int64, events []Event) (total int64, duplicate bool, err error) {
+	senders := make([]int64, len(events))
+	sizes := make([]int64, len(events))
+	for i, ev := range events {
+		senders[i], sizes[i] = ev.Sender, ev.Size
+	}
+	return r.ObserveBlockSeq(tenant, stream, strat, seq, senders, sizes)
+}
+
 // feedPeriodic observes a periodic (sender, size) stream long enough for
 // both predictors to lock.
 func feedPeriodic(r *Registry, tenant, stream string, period, n int) {
 	for i := 0; i < n; i++ {
-		r.Observe(tenant, stream, Event{Sender: int64(i % period), Size: int64(100 * (i % period))})
+		observe(r, tenant, stream, Event{Sender: int64(i % period), Size: int64(100 * (i % period))})
 	}
 }
 
@@ -86,7 +110,7 @@ func TestRegistryMatchesBarePredictor(t *testing.T) {
 		stream = append(stream, Event{Sender: int64(i % 7), Size: int64(i % 3)})
 	}
 	for _, ev := range stream {
-		r.Observe("t", "s", ev)
+		observe(r, "t", "s", ev)
 		sender.Observe(ev.Sender)
 		size.Observe(ev.Size)
 	}
@@ -104,6 +128,9 @@ func TestRegistryMatchesBarePredictor(t *testing.T) {
 	}
 }
 
+// TestRegistryObserveBatchEquivalentToSingles pins that block boundaries
+// carry no meaning: 500 one-element blocks and one 500-event block leave
+// the session forecasting identically.
 func TestRegistryObserveBatchEquivalentToSingles(t *testing.T) {
 	a := NewRegistry(Config{})
 	b := NewRegistry(Config{})
@@ -112,9 +139,9 @@ func TestRegistryObserveBatchEquivalentToSingles(t *testing.T) {
 		events[i] = Event{Sender: int64(i % 4), Size: int64(i % 9)}
 	}
 	for _, ev := range events {
-		a.Observe("t", "s", ev)
+		observe(a, "t", "s", ev)
 	}
-	total := b.ObserveBatch("t", "s", events)
+	total, _, _ := observeEvents(b, "t", "s", "", 0, events)
 	if total != int64(len(events)) {
 		t.Fatalf("batch total = %d, want %d", total, len(events))
 	}
@@ -136,21 +163,21 @@ func TestRegistryObserveBatchSeqDropsDuplicates(t *testing.T) {
 	clean := NewRegistry(Config{})
 	batch := []Event{{Sender: 1, Size: 10}, {Sender: 2, Size: 20}, {Sender: 3, Size: 30}}
 
-	total, dup, err := r.ObserveBatchSeq("t", "s", "", 1, batch)
+	total, dup, err := observeEvents(r, "t", "s", "", 1, batch)
 	if err != nil || dup || total != 3 {
 		t.Fatalf("first delivery: total=%d dup=%v err=%v", total, dup, err)
 	}
 	// Second delivery of the same batch: dropped, total unchanged.
-	total, dup, err = r.ObserveBatchSeq("t", "s", "", 1, batch)
+	total, dup, err = observeEvents(r, "t", "s", "", 1, batch)
 	if err != nil || !dup || total != 3 {
 		t.Fatalf("duplicate delivery: total=%d dup=%v err=%v", total, dup, err)
 	}
 	// Stale seq below the watermark is a duplicate too.
-	if _, dup, _ = r.ObserveBatchSeq("t", "s", "", 0x0, batch[:1]); dup {
+	if _, dup, _ = observeEvents(r, "t", "s", "", 0x0, batch[:1]); dup {
 		t.Fatal("unsequenced batch (seq 0) was treated as a duplicate")
 	}
-	clean.ObserveBatch("t", "s", batch)
-	clean.ObserveBatch("t", "s", batch[:1])
+	observeEvents(clean, "t", "s", "", 0, batch)
+	observeEvents(clean, "t", "s", "", 0, batch[:1])
 	fa, _, _ := r.ForecastInto(nil, "t", "s", 4)
 	fb, _, _ := clean.ForecastInto(nil, "t", "s", 4)
 	if !reflect.DeepEqual(fa, fb) {
@@ -198,11 +225,11 @@ func TestRegistryLRUEviction(t *testing.T) {
 	// least recently used.
 	r := NewRegistry(Config{Shards: 1, MaxSessions: 4})
 	for i := 0; i < 4; i++ {
-		r.Observe("t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
 	}
 	// Touch s0 so s1 becomes the LRU.
-	r.Observe("t", "s0", Event{Sender: 1, Size: 1})
-	r.Observe("t", "s4", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s0", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s4", Event{Sender: 1, Size: 1})
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
@@ -221,13 +248,13 @@ func TestRegistryLRUEviction(t *testing.T) {
 
 func TestRegistryForecastCountsAsActivity(t *testing.T) {
 	r := NewRegistry(Config{Shards: 1, MaxSessions: 2})
-	r.Observe("t", "a", Event{Sender: 1, Size: 1})
-	r.Observe("t", "b", Event{Sender: 1, Size: 1})
+	observe(r, "t", "a", Event{Sender: 1, Size: 1})
+	observe(r, "t", "b", Event{Sender: 1, Size: 1})
 	// Query a: b becomes the LRU and is the one evicted by c.
 	if _, _, ok := r.ForecastInto(nil, "t", "a", 1); !ok {
 		t.Fatal("session a missing")
 	}
-	r.Observe("t", "c", Event{Sender: 1, Size: 1})
+	observe(r, "t", "c", Event{Sender: 1, Size: 1})
 	if _, ok := r.Info("t", "a"); !ok {
 		t.Fatal("recently queried session a was evicted")
 	}
@@ -239,9 +266,9 @@ func TestRegistryForecastCountsAsActivity(t *testing.T) {
 func TestRegistryIdleSweep(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{IdleTTL: time.Minute, Clock: clock.Now})
-	r.Observe("t", "old", Event{Sender: 1, Size: 1})
+	observe(r, "t", "old", Event{Sender: 1, Size: 1})
 	clock.Advance(45 * time.Second)
-	r.Observe("t", "fresh", Event{Sender: 1, Size: 1})
+	observe(r, "t", "fresh", Event{Sender: 1, Size: 1})
 	clock.Advance(30 * time.Second) // old is 75s idle, fresh 30s
 
 	if evicted := r.SweepIdle(); evicted != 1 {
@@ -261,7 +288,7 @@ func TestRegistryIdleSweep(t *testing.T) {
 func TestRegistryIdleSweepDisabled(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{IdleTTL: -1, Clock: clock.Now})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", Event{Sender: 1, Size: 1})
 	clock.Advance(24 * time.Hour)
 	if evicted := r.SweepIdle(); evicted != 0 {
 		t.Fatalf("disabled sweep evicted %d sessions", evicted)
@@ -299,8 +326,8 @@ func TestRegistrySessionsSortedAndComplete(t *testing.T) {
 
 func TestRegistryStatsCounters(t *testing.T) {
 	r := NewRegistry(Config{})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
-	r.ObserveBatch("t", "s", []Event{{Sender: 2, Size: 2}, {Sender: 3, Size: 3}})
+	observe(r, "t", "s", Event{Sender: 1, Size: 1})
+	observeEvents(r, "t", "s", "", 0, []Event{{Sender: 2, Size: 2}, {Sender: 3, Size: 3}})
 	r.ForecastInto(nil, "t", "s", 5)
 	r.ForecastInto(nil, "t", "missing", 5)
 
@@ -316,7 +343,7 @@ func TestRegistryShardDistribution(t *testing.T) {
 	// evict, which Len would reveal.
 	r := NewRegistry(Config{Shards: 64, MaxSessions: 4096})
 	for i := 0; i < 1024; i++ {
-		r.Observe("tenant", fmt.Sprintf("stream-%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "tenant", fmt.Sprintf("stream-%d", i), Event{Sender: 1, Size: 1})
 	}
 	if r.Len() != 1024 {
 		t.Fatalf("Len = %d, want 1024 (hash clustering caused evictions)", r.Len())
@@ -394,7 +421,7 @@ func TestRegistryRestoreNormalizesEmptyStrategy(t *testing.T) {
 	if got := fresh.Sessions()[0].Strategy; got != strategy.Default {
 		t.Fatalf("restored strategy %q, want %q", got, strategy.Default)
 	}
-	if err := fresh.ObserveAs("t", "s", "dpd", Event{Sender: 1, Size: 1}); err != nil {
+	if err := observeAs(fresh, "t", "s", "dpd", Event{Sender: 1, Size: 1}); err != nil {
 		t.Fatalf("restored session rejects its own strategy: %v", err)
 	}
 	if err := WriteSnapshot(&bytes.Buffer{}, fresh.SnapshotSessions()); err != nil {
@@ -423,7 +450,7 @@ func TestRegistryRestoreRejectsUnknownStrategy(t *testing.T) {
 func TestRegistrySmallMaxSessionsBoundIsExact(t *testing.T) {
 	r := NewRegistry(Config{MaxSessions: 10}) // default 64 shards would allow 64
 	for i := 0; i < 100; i++ {
-		r.Observe("t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
 	}
 	if got := r.Len(); got > 10 {
 		t.Fatalf("registry holds %d sessions, MaxSessions is 10", got)
@@ -434,7 +461,7 @@ func TestRegistryObserveAsCreatesStrategySessions(t *testing.T) {
 	r := NewRegistry(Config{})
 	// lastvalue: every horizon predicts the last observation.
 	for i := 0; i < 10; i++ {
-		if err := r.ObserveAs("t", "lv", "lastvalue", Event{Sender: int64(i), Size: int64(2 * i)}); err != nil {
+		if err := observeAs(r, "t", "lv", "lastvalue", Event{Sender: int64(i), Size: int64(2 * i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,35 +486,35 @@ func TestRegistryObserveAsCreatesStrategySessions(t *testing.T) {
 
 func TestRegistryObserveAsStrategyMismatch(t *testing.T) {
 	r := NewRegistry(Config{})
-	if err := r.ObserveAs("t", "s", "markov1", Event{Sender: 1, Size: 1}); err != nil {
+	if err := observeAs(r, "t", "s", "markov1", Event{Sender: 1, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Omitting the strategy keeps addressing the session.
-	r.Observe("t", "s", Event{Sender: 2, Size: 2})
-	if _, err := r.ObserveBatchAs("t", "s", "markov1", []Event{{Sender: 3, Size: 3}}); err != nil {
+	observe(r, "t", "s", Event{Sender: 2, Size: 2})
+	if _, _, err := observeEvents(r, "t", "s", "markov1", 0, []Event{{Sender: 3, Size: 3}}); err != nil {
 		t.Fatalf("matching strategy rejected: %v", err)
 	}
-	err := r.ObserveAs("t", "s", "dpd", Event{Sender: 4, Size: 4})
+	err := observeAs(r, "t", "s", "dpd", Event{Sender: 4, Size: 4})
 	if !errors.Is(err, ErrStrategyMismatch) {
 		t.Fatalf("conflicting strategy: got %v, want ErrStrategyMismatch", err)
 	}
-	if err := r.ObserveAs("t", "s", "no-such", Event{Sender: 5, Size: 5}); err == nil {
+	if err := observeAs(r, "t", "s", "no-such", Event{Sender: 5, Size: 5}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 	if got := r.Sessions()[0].Observed; got != 3 {
 		t.Fatalf("observed = %d, want 3 (rejected observes must not count)", got)
 	}
 	// An empty batch applies the same validation without creating state.
-	if total, err := r.ObserveBatchAs("t", "s", "markov1", nil); err != nil || total != 3 {
+	if total, _, err := observeEvents(r, "t", "s", "markov1", 0, nil); err != nil || total != 3 {
 		t.Fatalf("empty matching batch = (%d, %v), want (3, nil)", total, err)
 	}
-	if _, err := r.ObserveBatchAs("t", "s", "dpd", nil); !errors.Is(err, ErrStrategyMismatch) {
+	if _, _, err := observeEvents(r, "t", "s", "dpd", 0, nil); !errors.Is(err, ErrStrategyMismatch) {
 		t.Fatalf("empty conflicting batch: got %v, want ErrStrategyMismatch", err)
 	}
-	if _, err := r.ObserveBatchAs("t", "s", "no-such", nil); err == nil {
+	if _, _, err := observeEvents(r, "t", "s", "no-such", 0, nil); err == nil {
 		t.Fatal("empty batch accepted an unknown strategy")
 	}
-	if total, err := r.ObserveBatchAs("t", "absent", "markov1", nil); err != nil || total != 0 {
+	if total, _, err := observeEvents(r, "t", "absent", "markov1", 0, nil); err != nil || total != 0 {
 		t.Fatalf("empty batch on absent session = (%d, %v), want (0, nil)", total, err)
 	}
 	if r.Len() != 1 {
@@ -497,7 +524,7 @@ func TestRegistryObserveAsStrategyMismatch(t *testing.T) {
 
 func TestRegistryDefaultStrategyConfig(t *testing.T) {
 	r := NewRegistry(Config{Strategy: "markov1"})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", Event{Sender: 1, Size: 1})
 	if got := r.Sessions()[0].Strategy; got != "markov1" {
 		t.Fatalf("default-strategy session reports %q, want markov1", got)
 	}
@@ -518,9 +545,9 @@ func TestRegistrySessionTimestamps(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{Clock: clock.Now})
 	created := clock.Now()
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", Event{Sender: 1, Size: 1})
 	clock.Advance(90 * time.Second)
-	r.Observe("t", "s", Event{Sender: 2, Size: 2})
+	observe(r, "t", "s", Event{Sender: 2, Size: 2})
 	clock.Advance(30 * time.Second)
 
 	info := r.Sessions()[0]
@@ -545,7 +572,7 @@ func TestRegistryHeterogeneousStrategiesConcurrent(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		for _, name := range names {
 			ev := Event{Sender: int64(i % 7), Size: int64(100 * (i % 7))}
-			if err := r.ObserveAs("mix", name, name, ev); err != nil {
+			if err := observeAs(r, "mix", name, name, ev); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -149,8 +149,8 @@ type Server struct {
 // Events may be given in one of two shapes, not both: the object form
 // ("events": [{"sender","size"},...]) or the columnar form ("senders"
 // and "sizes" as parallel arrays). The columnar form is what the block
-// pipeline emits (stream.EventBlock is columnar end to end) and lands on
-// the registry's ObserveBlock fast path; the replay ingester uses it.
+// pipeline emits (stream.EventBlock is columnar end to end); the replay
+// ingester uses it. Both land on the registry's ObserveBlockSeq.
 // Seq optionally carries a per-(tenant, stream) monotonic batch
 // sequence number. When positive, the registry applies the batch at
 // most once: a seq at or below the session's high-water mark is
@@ -424,13 +424,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "seq must be non-negative")
 		return
 	}
-	var total int64
-	var duplicate bool
-	if columnar {
-		total, duplicate, err = s.reg.ObserveBlockSeq(sc.req.Tenant, sc.req.Stream, sc.req.Predictor, sc.req.Seq, sc.req.Senders, sc.req.Sizes)
-	} else {
-		total, duplicate, err = s.reg.ObserveBatchSeq(sc.req.Tenant, sc.req.Stream, sc.req.Predictor, sc.req.Seq, sc.req.Events)
+	if !columnar {
+		// Re-lay the object form as columns in the pooled scratch, so
+		// both forms share the registry's one ingest call.
+		for _, ev := range sc.req.Events {
+			sc.req.Senders = append(sc.req.Senders, ev.Sender)
+			sc.req.Sizes = append(sc.req.Sizes, ev.Size)
+		}
 	}
+	total, duplicate, err := s.reg.ObserveBlockSeq(sc.req.Tenant, sc.req.Stream, sc.req.Predictor, sc.req.Seq, sc.req.Senders, sc.req.Sizes)
 	if err != nil {
 		// The name and column lengths were validated above, so the only
 		// remaining failure is a strategy conflict with an existing session.

@@ -23,12 +23,6 @@ const Markov1MaxValues = 1024
 // so the steady-state Observe path is two slice indexings and a map lookup
 // — no allocations once the stream's alphabet has been seen.
 //
-// It is a separate implementation from predictor.Markov(1) (the Section 6
-// comparison baseline): that one breaks successor ties toward the
-// smallest value and interns nothing, while this one breaks ties toward
-// the earliest-interned value so its snapshots restore exactly. On
-// tie-free streams the two agree; on ties their predictions can differ.
-//
 // Ties are broken toward the earliest-interned value, maintained
 // incrementally, so the predicted successor is a pure function of the
 // transition counts — the property that makes Snapshot/Restore exact: a

@@ -1,4 +1,4 @@
-package predictor
+package strategy
 
 import "mpipredict/internal/core"
 
@@ -11,27 +11,27 @@ type MessageForecast struct {
 	Ahead  int   // how many messages in the future (1 = next message)
 	Sender int   // predicted sending rank
 	Size   int64 // predicted message size in bytes
-	OK     bool  // false when either stream predictor abstained
+	OK     bool  // false when either stream's strategy abstained
 }
 
-// MessagePredictor couples two stream predictors — one for the sender
-// stream, one for the size stream of a single receiving process — into a
+// MessagePredictor couples two strategies — one for the sender stream,
+// one for the size stream of a single receiving process — into a
 // message-level forecaster.
 type MessagePredictor struct {
-	sender Predictor
-	size   Predictor
+	sender Strategy
+	size   Strategy
 }
 
 // NewMessagePredictor builds a message predictor from two independently
-// chosen stream predictors.
-func NewMessagePredictor(sender, size Predictor) *MessagePredictor {
+// chosen strategies.
+func NewMessagePredictor(sender, size Strategy) *MessagePredictor {
 	return &MessagePredictor{sender: sender, size: size}
 }
 
-// NewDPDMessagePredictor is the paper's configuration: a DPD predictor on
-// both the sender and the size stream.
+// NewDPDMessagePredictor is the paper's configuration: a DPD on both the
+// sender and the size stream.
 func NewDPDMessagePredictor(cfg core.Config) *MessagePredictor {
-	return &MessagePredictor{sender: NewDPD(cfg), size: NewDPD(cfg)}
+	return NewMessagePredictor(NewDPD(cfg), NewDPD(cfg))
 }
 
 // Observe records one received message.
@@ -62,33 +62,3 @@ func (m *MessagePredictor) ForecastInto(dst []MessageForecast, count int) []Mess
 	}
 	return dst
 }
-
-// ForecastSenders returns the set of ranks expected to send one of the
-// next `count` messages (duplicates removed, order not meaningful), along
-// with the total number of bytes forecast per sender — the order-free view
-// of Section 5.3 of the paper. It allocates a fresh map per call and is
-// meant for diagnostics and one-off queries; the per-message replay loops
-// use ForecastInto with a reused buffer instead.
-func (m *MessagePredictor) ForecastSenders(count int) (map[int]int64, bool) {
-	fc := m.Forecast(count)
-	out := make(map[int]int64)
-	for _, f := range fc {
-		if !f.OK {
-			return nil, false
-		}
-		out[f.Sender] += f.Size
-	}
-	return out, true
-}
-
-// Reset clears both stream predictors.
-func (m *MessagePredictor) Reset() {
-	m.sender.Reset()
-	m.size.Reset()
-}
-
-// SenderPredictor returns the underlying sender-stream predictor.
-func (m *MessagePredictor) SenderPredictor() Predictor { return m.sender }
-
-// SizePredictor returns the underlying size-stream predictor.
-func (m *MessagePredictor) SizePredictor() Predictor { return m.size }

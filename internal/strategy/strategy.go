@@ -8,14 +8,18 @@
 //   - "dpd"       — the paper's Dynamic Periodicity Detector predictor
 //     (core.StreamPredictor behind the interface, bit-for-bit identical),
 //   - "lastvalue" — predict the most recently observed value for every
-//     horizon (the natural floor baseline), and
+//     horizon (the natural floor baseline),
 //   - "markov1"   — a first-order transition-frequency predictor over
-//     interned values (the classic history-based alternative).
+//     interned values (the classic history-based alternative), and
+//   - "meta"      — an online selector that routes each stream to the
+//     expert strategy with the best recent hit rate.
 //
-// Every layer above core selects its predictor through this registry: the
+// Strategy is the repository's only model interface. Every layer above
+// core consumes it and selects its predictor through this registry: the
 // evaluation harness (evalx.Options.Strategy), the online service (one
 // strategy per session, chosen at first observe), the scalability replays
-// and the CLIs' -predictor flags. A strategy serializes its own state to an
+// (MessagePredictor, a sender/size strategy pair) and the CLIs'
+// -predictor flags. A strategy serializes its own state to an
 // opaque payload (Snapshot/Restore), which is what lets the serving
 // snapshot format persist heterogeneous sessions without knowing anything
 // about the models inside them.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"mpipredict/internal/core"
 )
@@ -115,6 +116,92 @@ func TestLastValueSemantics(t *testing.T) {
 	s.Reset()
 	if _, ok := s.Predict(1); ok {
 		t.Fatal("reset lastvalue predicted")
+	}
+}
+
+// plusKAccuracy feeds stream into s and returns its +k accuracy the way
+// the evaluation harness scores it (abstentions count as misses), over
+// the positions from warmup on.
+func plusKAccuracy(s Strategy, stream []int64, k, warmup int) float64 {
+	hits, total := 0, 0
+	for i, x := range stream {
+		if i >= warmup && i+k-1 < len(stream) {
+			total++
+			if v, ok := s.Predict(k); ok && v == stream[i+k-1] {
+				hits++
+			}
+		}
+		s.Observe(x)
+	}
+	return float64(hits) / float64(total)
+}
+
+func TestLastValueAccuracyOnAlternatingStream(t *testing.T) {
+	// On a strictly alternating stream last-value is always wrong; the DPD
+	// is essentially always right. This is the qualitative gap the paper's
+	// related-work section describes.
+	stream := periodicStream(800, 2)
+	if lv := plusKAccuracy(NewLastValue(), stream, 1, 50); lv > 0.01 {
+		t.Errorf("lastvalue accuracy on alternating stream = %.3f, want ~0", lv)
+	}
+	if dpd := plusKAccuracy(NewDPD(core.DefaultConfig()), stream, 1, 50); dpd < 0.99 {
+		t.Errorf("dpd accuracy on alternating stream = %.3f, want ~1", dpd)
+	}
+}
+
+// TestDPDMultiStepBeatsBaselineStrategies pins the paper's multi-step
+// claim: on a period-18 pattern whose last repetition breaks the inner
+// period-5 cycle, the DPD predicts +5 exactly, while lastvalue and the
+// chained markov1 keep missing the irregular tail.
+func TestDPDMultiStepBeatsBaselineStrategies(t *testing.T) {
+	pattern := []int64{1, 2, 5, 7, 9, 1, 2, 5, 7, 9, 1, 2, 5, 7, 9, 1, 2, 7}
+	stream := make([]int64, 300*len(pattern))
+	for i := range stream {
+		stream[i] = pattern[i%len(pattern)]
+	}
+	if acc := plusKAccuracy(NewDPD(core.DefaultConfig()), stream, 5, 100); acc < 0.95 {
+		t.Errorf("dpd +5 accuracy = %.3f, want >= 0.95", acc)
+	}
+	for _, s := range []Strategy{NewLastValue(), NewMarkov1()} {
+		if acc := plusKAccuracy(s, stream, 5, 100); acc > 0.8 {
+			t.Errorf("%s +5 accuracy = %.3f, want <= 0.8", s.Desc().Name, acc)
+		}
+	}
+}
+
+// Property: no strategy panics and Predict never reports ok before any
+// observation or after Reset, for arbitrary streams and horizons.
+func TestStrategiesNeverPanicAndAbstainWhenEmpty(t *testing.T) {
+	for _, name := range Names() {
+		s, err := New(name, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Predict(1); ok {
+			t.Errorf("%s: fresh strategy must abstain", name)
+		}
+	}
+	f := func(raw []uint8, ks []uint8) bool {
+		for _, name := range Names() {
+			s, err := New(name, core.Config{WindowSize: 32, MaxLag: 8})
+			if err != nil {
+				return false
+			}
+			for _, b := range raw {
+				s.Observe(int64(b % 6))
+				for _, kb := range ks {
+					s.Predict(int(kb%7) - 1) // includes k <= 0
+				}
+			}
+			s.Reset()
+			if _, ok := s.Predict(1); ok {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -363,3 +363,50 @@ func TestErrorsWrapErrCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveDecodeZeroAllocs pins the wire ingest decode: a steady-state
+// 64-event observe frame decodes into the view's retained columns
+// without a single heap allocation — the per-field error names are built
+// only when a read fails.
+func TestObserveDecodeZeroAllocs(t *testing.T) {
+	senders, sizes := make([]int64, 64), make([]int64, 64)
+	for i := range senders {
+		senders[i], sizes[i] = int64(i%6), int64(100*(i%6))
+	}
+	frame := AppendObserve(nil, "tenant", "stream", "dpd", 7, senders, sizes)
+	var view ObserveView
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := view.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveView.Decode allocates %.1f objects per 64-event frame, want 0", allocs)
+	}
+}
+
+// TestObserveDecodeErrorTexts pins the observe decoder's error messages
+// for a truncated field of every kind, so moving the name formatting off
+// the hot path cannot change what a client or log sees.
+func TestObserveDecodeErrorTexts(t *testing.T) {
+	// Header of a two-event frame: tenant "t", stream "s", no strategy,
+	// seq 1, count 2 — 8 bytes, so the first sender starts at offset 8.
+	header := appendUvarint(appendVarint(appendString(appendString(appendString(
+		[]byte{FrameObserve}, "t"), "s"), ""), 1), 2)
+	unterminated := []byte{0x80, 0x80, 0x80, 0x80} // enough bytes for the count check
+	for _, c := range []struct {
+		frame []byte
+		want  string
+	}{
+		{[]byte{FrameObserve, 0x80}, "reading tenant length at offset 1"},
+		{append(appendString([]byte{FrameObserve}, "t"), 0x80), "reading stream length at offset 3"},
+		{append(append([]byte(nil), header...), unterminated...), "reading sender column value at offset 8"},
+		{append(append(append([]byte(nil), header...), 2, 4), unterminated...), "reading size column value at offset 10"},
+	} {
+		var view ObserveView
+		err := view.Decode(c.frame)
+		if err == nil || !errors.Is(err, ErrCorrupt) || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("frame %x: got %v, want an ErrCorrupt ending in %q", c.frame, err, c.want)
+		}
+	}
+}

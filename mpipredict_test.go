@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,17 +18,21 @@ func TestFacadePredictors(t *testing.T) {
 	if v, ok := p.Predict(1); !ok || v != 0 {
 		t.Errorf("facade predictor Predict(1)=%d,%v want 0,true", v, ok)
 	}
-	names := BaselinePredictors()
-	if len(names) < 5 {
-		t.Errorf("expected several baseline predictors, got %v", names)
+	names := Strategies()
+	if len(names) < 3 {
+		t.Errorf("expected the DPD and baseline strategies, got %v", names)
 	}
 	for _, n := range names {
-		if _, err := NewBaselinePredictor(n); err != nil {
-			t.Errorf("NewBaselinePredictor(%q): %v", n, err)
+		s, err := NewStrategy(n, DefaultPredictorConfig())
+		if err != nil {
+			t.Fatalf("NewStrategy(%q): %v", n, err)
+		}
+		if s.Desc().Name != n {
+			t.Errorf("NewStrategy(%q) describes itself as %q", n, s.Desc().Name)
 		}
 	}
-	if _, err := NewBaselinePredictor("bogus"); err == nil {
-		t.Error("unknown baseline should fail")
+	if _, err := NewStrategy("bogus", DefaultPredictorConfig()); err == nil {
+		t.Error("unknown strategy should fail")
 	}
 	mp := NewMessagePredictor(DefaultPredictorConfig())
 	for i := 0; i < 100; i++ {
@@ -168,7 +174,10 @@ func TestFacadeFigure1SmallRun(t *testing.T) {
 func TestFacadeServing(t *testing.T) {
 	reg := NewServeRegistry(ServeConfig{})
 	for i := 0; i < 3000; i++ {
-		reg.Observe("tenant", "stream", ServeEvent{Sender: int64(i % 4), Size: int64(10 * (i % 4))})
+		v := int64(i % 4)
+		if _, _, err := reg.ObserveBlockSeq("tenant", "stream", "", 0, []int64{v}, []int64{10 * v}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fc, observed, ok := reg.ForecastInto(nil, "tenant", "stream", 3)
 	if !ok || observed != 3000 || len(fc) != 3 {
@@ -257,5 +266,198 @@ func TestFacadeWire(t *testing.T) {
 	}
 	if stats.Events != 2048 || stats.Transport != "wire" || stats.EventsPerSec() <= 0 {
 		t.Fatalf("loadgen stats = %+v, want 2048 wire-delivered events", stats)
+	}
+}
+
+// TestFacadeStrategyComparison drives the strategy comparison and its
+// report through the facade.
+func TestFacadeStrategyComparison(t *testing.T) {
+	cmp, err := CompareStrategies([]string{"dpd", "lastvalue"},
+		[]WorkloadSpec{{Name: "bt", Procs: 4}}, EvalOptions{Seed: 1, Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cmp.Rows) != 1 || cmp.Rows[0].Logical["dpd"] <= cmp.Rows[0].Logical["lastvalue"] {
+		t.Fatalf("comparison rows = %+v, want dpd ahead of lastvalue on bt.4", cmp.Rows)
+	}
+	out := FormatStrategyComparison(cmp)
+	for _, want := range []string{"dpd", "lastvalue", "bt"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("formatted comparison lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFacadeTraceCacheAndRunner covers the cached and all-receivers
+// simulation entry points and the parallel runner: a cached trace is
+// served from the shared cache on the second call, and the runner's
+// results equal the one-shot Evaluate.
+func TestFacadeTraceCacheAndRunner(t *testing.T) {
+	ClearTraceCache()
+	spec := WorkloadSpec{Name: "cg", Procs: 4, Iterations: 3}
+	first, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := TraceCacheStats()
+	again, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || TraceCacheStats().Hits != before.Hits+1 {
+		t.Errorf("second cached run was not a cache hit (stats %+v -> %+v)", before, TraceCacheStats())
+	}
+	all, err := RunWorkloadAllReceivers(spec, DefaultNetworkConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(all.Receivers()); got != spec.Procs {
+		t.Errorf("all-receivers trace records %d receivers, want %d", got, spec.Procs)
+	}
+
+	opts := EvalOptions{Seed: 1, Iterations: 3}
+	viaRunner, err := NewEvalRunner(2).Evaluate([]WorkloadSpec{spec}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := Evaluate(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(viaRunner) != 1 || !reflect.DeepEqual(viaRunner[0], direct) {
+		t.Error("runner result differs from Evaluate")
+	}
+}
+
+// TestFacadeStreamingEvaluation pins the block-source entry points
+// against the in-memory evaluation: a streamed file, an in-memory trace
+// source, a no-op perturbation and a one-source merge all score exactly
+// like EvaluateTrace.
+func TestFacadeStreamingEvaluation(t *testing.T) {
+	path := corpusPath("bt.4.mpt")
+	tr, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, _ := TypicalReceiver("bt", 4)
+	opts := EvalOptions{}
+	want, err := EvaluateTrace(tr, recv, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]EventSourceOpener{
+		"file":    func() (EventSource, error) { return OpenTraceSource(path) },
+		"memory":  func() (EventSource, error) { return TraceSource(tr), nil },
+		"perturb": func() (EventSource, error) { return PerturbSource(TraceSource(tr), PerturbConfig{Seed: 1}), nil },
+		"merge":   func() (EventSource, error) { return MergeSources(TraceSource(tr)), nil },
+	} {
+		got, err := EvaluateSource(open, recv, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s source scores differently from EvaluateTrace", name)
+		}
+	}
+	if src, err := OpenTraceSource(filepath.Join(t.TempDir(), "missing.mpt")); err == nil || src != nil {
+		t.Errorf("missing file: got (%v, %v), want an untyped nil source and an error", src, err)
+	}
+}
+
+// TestFacadePaperTables runs Table 1, Figure 2 and Figures 3/4 on
+// shrunken workloads through the facade.
+func TestFacadePaperTables(t *testing.T) {
+	opts := EvalOptions{Seed: 1, Iterations: 2}
+	rows, err := Table1(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(PaperWorkloads()) {
+		t.Errorf("Table 1 has %d rows, want one per paper workload (%d)", len(rows), len(PaperWorkloads()))
+	}
+	fig2, err := Figure2(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig2.Logical) == 0 || len(fig2.Logical) != len(fig2.Physical) {
+		t.Errorf("Figure 2 streams: %d logical, %d physical", len(fig2.Logical), len(fig2.Physical))
+	}
+	logical, physical, err := Figures34(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logical.Cells) == 0 || len(physical.Cells) != len(logical.Cells) || logical.Level != Logical || physical.Level != Physical {
+		t.Errorf("Figures 3/4: %d %v cells, %d %v cells", len(logical.Cells), logical.Level, len(physical.Cells), physical.Level)
+	}
+}
+
+// TestFacadeRestorePredictor round-trips a trained DPD through its
+// snapshot.
+func TestFacadeRestorePredictor(t *testing.T) {
+	p := NewPredictor(DefaultPredictorConfig())
+	for i := 0; i < 200; i++ {
+		p.Observe(int64(i % 5))
+	}
+	restored, err := RestorePredictor(p.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 5; k++ {
+		wv, wok := p.Predict(k)
+		if gv, gok := restored.Predict(k); gv != wv || gok != wok {
+			t.Errorf("+%d: restored (%d, %v), original (%d, %v)", k, gv, gok, wv, wok)
+		}
+	}
+	if _, err := RestorePredictor(PredictorSnapshot{}); err == nil {
+		t.Error("zero snapshot restored")
+	}
+}
+
+// TestFacadeClusterReplay replays a corpus trace through a two-backend
+// gateway and through a single daemon: the backends' merged sessions
+// equal the single node's, and partitioning the single node's snapshot
+// by the shard map and merging it back is the identity.
+func TestFacadeClusterReplay(t *testing.T) {
+	tr, err := LoadTrace(corpusPath("bt.4.mpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	single := NewServeRegistry(ServeConfig{})
+	singleSrv := httptest.NewServer(NewServeServer(single))
+	defer singleSrv.Close()
+	if _, err := ReplayTrace(ctx, singleSrv.URL, tr, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	var regs []*ServeRegistry
+	var urls []string
+	for i := 0; i < 2; i++ {
+		reg := NewServeRegistry(ServeConfig{})
+		srv := httptest.NewServer(NewServeServer(reg))
+		defer srv.Close()
+		regs, urls = append(regs, reg), append(urls, srv.URL)
+	}
+	shards, err := NewShardMap(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(NewClusterGateway(shards, ClusterOptions{}))
+	defer gw.Close()
+	if _, err := ReplayTrace(ctx, gw.URL, tr, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	want := single.SnapshotSessions()
+	if got := MergeSessionSnapshots(regs[0].SnapshotSessions(), regs[1].SnapshotSessions()); !reflect.DeepEqual(got, want) {
+		t.Error("sessions replayed through the gateway differ from the single-node replay")
+	}
+	parts := PartitionSessionSnapshot(want, shards)
+	var all [][]SessionSnapshot
+	for _, part := range parts {
+		all = append(all, part)
+	}
+	if got := MergeSessionSnapshots(all...); !reflect.DeepEqual(got, want) {
+		t.Error("partition then merge is not the identity")
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"mpipredict/internal/core"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
 )
@@ -70,27 +69,52 @@ func TestDPDStrategyMatchesCoreOnCorpus(t *testing.T) {
 	}
 }
 
+// scoreBareCore is the Section 5 scoring protocol written out over a bare
+// core.StreamPredictor, with no strategy in between: before observing
+// element i, the +k prediction is scored against element i+k-1. It is
+// the independent reference the harness's strategy-driven scorer is
+// pinned against.
+func scoreBareCore(stream []int64, horizons int) (hits, total []int) {
+	p := core.NewStreamPredictor(core.DefaultConfig())
+	hits, total = make([]int, horizons), make([]int, horizons)
+	for i, x := range stream {
+		for k := 1; k <= horizons && i+k-1 < len(stream); k++ {
+			total[k-1]++
+			if v, ok := p.Predict(k); ok && v == stream[i+k-1] {
+				hits[k-1]++
+			}
+		}
+		p.Observe(x)
+	}
+	return hits, total
+}
+
 // TestDPDStrategyScoresIdenticallyOnCorpus runs the evaluation harness's
-// own scoring loop both ways: the accuracy tables the figures are built
-// from must not move by a single hit when the DPD is selected through the
-// strategy registry.
+// own scoring loop — with its default predictor and with the dpd
+// selected by name through the strategy registry — against a scorer that
+// drives the bare core predictor: the accuracy tables the figures are
+// built from must not move by a single hit.
 func TestDPDStrategyScoresIdenticallyOnCorpus(t *testing.T) {
-	dpdFactory := func() predictor.Predictor {
+	dpdFactory := func() strategy.Strategy {
 		s, err := strategy.New("dpd", core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return predictor.FromStrategy(s)
+		return s
 	}
 	for _, c := range corpusSpecs() {
 		t.Run(c.File, func(t *testing.T) {
 			for label, stream := range corpusStreams(t, c.File) {
-				want := evalx.EvaluateStream(stream, nil, 5)
-				got := evalx.EvaluateStream(stream, dpdFactory, 5)
-				for k := 0; k < 5; k++ {
-					if want.Hits[k] != got.Hits[k] || want.Total[k] != got.Total[k] {
-						t.Fatalf("%s horizon +%d: direct %d/%d hits, via strategy %d/%d",
-							label, k+1, want.Hits[k], want.Total[k], got.Hits[k], got.Total[k])
+				wantHits, wantTotal := scoreBareCore(stream, 5)
+				for name, got := range map[string]evalx.StreamAccuracy{
+					"default": evalx.EvaluateStream(stream, nil, 5),
+					"by name": evalx.EvaluateStream(stream, dpdFactory, 5),
+				} {
+					for k := 0; k < 5; k++ {
+						if wantHits[k] != got.Hits[k] || wantTotal[k] != got.Total[k] {
+							t.Fatalf("%s horizon +%d: bare core %d/%d hits, harness (%s) %d/%d",
+								label, k+1, wantHits[k], wantTotal[k], name, got.Hits[k], got.Total[k])
+						}
 					}
 				}
 			}
