@@ -447,3 +447,124 @@ func TestRegisterValidation(t *testing.T) {
 		}()
 	}
 }
+
+func repeat(pattern []int64, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = pattern[i%len(pattern)]
+	}
+	return out
+}
+
+func TestRegistryKnowsAllPredictors(t *testing.T) {
+	want := []string{"dpd", "lastvalue", "markov1", MetaName}
+	names := Names()
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("registered strategies = %v, want %v", names, want)
+	}
+	for _, n := range want {
+		s, err := New(n, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("New(%q): %v", n, err)
+		}
+		if s.Desc().Name != n {
+			t.Errorf("New(%q).Desc().Name = %q", n, s.Desc().Name)
+		}
+	}
+}
+
+func TestNewUnknownPredictor(t *testing.T) {
+	for _, name := range []string{"no-such-predictor", "last-value", "markov2", "cycle"} {
+		if _, err := New(name, core.DefaultConfig()); err == nil {
+			t.Errorf("New(%q) accepted a name no strategy is registered under", name)
+		}
+	}
+}
+
+func TestRegisterDuplicatePanics(t *testing.T) {
+	for _, name := range Names() {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("duplicate Register(%q) did not panic", name)
+				}
+			}()
+			Register(name, func(core.Config) Strategy { return NewLastValue() })
+		}()
+	}
+	// The failed registrations left the original factories in place.
+	if s, err := New("dpd", core.DefaultConfig()); err != nil || s.Desc().Name != "dpd" {
+		t.Fatalf("dpd factory replaced by a duplicate Register: %v", err)
+	}
+}
+
+func TestLastValue(t *testing.T) {
+	s := NewLastValue()
+	if _, ok := s.Predict(1); ok {
+		t.Error("untrained lastvalue must abstain")
+	}
+	s.Observe(5)
+	if v, ok := s.Predict(1); !ok || v != 5 {
+		t.Errorf("Predict(1)=%d,%v want 5,true", v, ok)
+	}
+	// Unlike a single-step predictor, the strategy carries the last value
+	// to every horizon.
+	if v, ok := s.Predict(2); !ok || v != 5 {
+		t.Errorf("Predict(2)=%d,%v want 5,true", v, ok)
+	}
+	s.Observe(9)
+	if v, _ := s.Predict(1); v != 9 {
+		t.Errorf("after new observation Predict(1)=%d want 9", v)
+	}
+	s.Reset()
+	if _, ok := s.Predict(1); ok {
+		t.Error("reset lastvalue must abstain")
+	}
+}
+
+func TestMarkovOrder1(t *testing.T) {
+	s := NewMarkov1()
+	if s.Desc().Name != "markov1" {
+		t.Errorf("name=%q", s.Desc().Name)
+	}
+	if _, ok := s.Predict(1); ok {
+		t.Error("untrained markov1 must abstain")
+	}
+	for _, x := range repeat([]int64{1, 2, 3}, 60) {
+		s.Observe(x)
+	}
+	// After ...,1,2,3 the last value is 3 (60 samples end with 3).
+	if v, ok := s.Predict(1); !ok || v != 1 {
+		t.Errorf("Predict(1)=%d,%v want 1,true", v, ok)
+	}
+	if v, ok := s.Predict(2); !ok || v != 2 {
+		t.Errorf("Predict(2) by chaining=%d,%v want 2,true", v, ok)
+	}
+	if v, ok := s.Predict(3); !ok || v != 3 {
+		t.Errorf("Predict(3) by chaining=%d,%v want 3,true", v, ok)
+	}
+	s.Reset()
+	if _, ok := s.Predict(1); ok {
+		t.Error("reset markov1 must abstain")
+	}
+}
+
+func TestDPDStreamAccessor(t *testing.T) {
+	d := NewDPD(core.DefaultConfig())
+	if d.Stream() == nil {
+		t.Fatal("Stream() should expose the wrapped StreamPredictor")
+	}
+	for _, x := range repeat([]int64{4, 5, 6}, 60) {
+		d.Observe(x)
+	}
+	if st := d.Stream().State(); st != core.Locked {
+		t.Errorf("state=%v want locked", st)
+	}
+	// The accessor returns the predictor the strategy drives, not a copy.
+	if v, ok := d.Predict(1); !ok || v != 4 {
+		t.Errorf("Predict(1)=%d,%v want 4,true", v, ok)
+	}
+	if v, ok := d.Stream().Predict(1); !ok || v != 4 {
+		t.Errorf("Stream().Predict(1)=%d,%v want 4,true", v, ok)
+	}
+}
